@@ -24,7 +24,7 @@ from conftest import results_path
 from repro import nn
 from repro.adapt import LDBNAdapt, LDBNAdaptConfig
 from repro.experiments import format_table, save_json
-from repro.experiments.bench_micro import run_micro_ops, run_micro_threaded
+from repro.experiments.bench_micro import run_micro_ops
 from repro.models import build_model
 from repro.nn import functional as F
 
@@ -92,12 +92,6 @@ MICRO_COLUMNS = [
     "rendered", "fallback", "max_abs_diff",
 ]
 
-MICRO_MT_COLUMNS = [
-    "op", "shape", "threads", "cgen_st_p50_ms", "cgen_st_p95_ms",
-    "cgen_mt_p50_ms", "cgen_mt_p95_ms", "mt_speedup_p95",
-    "mt_stages", "rendered", "fallback", "max_abs_diff",
-]
-
 
 def test_micro_ops_backends(benchmark):
     rows = benchmark.pedantic(
@@ -106,24 +100,7 @@ def test_micro_ops_backends(benchmark):
 
     print("\nMICRO — per-kernel numpy vs cgen latency (ms)")
     print(format_table(rows, columns=MICRO_COLUMNS, floatfmt=".4f"))
-
-    # threaded-vs-single-thread rows ride the same archive (and so the
-    # same regression gate on their *_p95_ms keys); the speedup column
-    # is informational — 1-core CI hosts cannot promise > 1x
-    mt_rows = run_micro_threaded(reps=MICRO_REPS, threads=2)
-    print("\nMICRO — per-kernel single-thread vs 2-thread cgen latency (ms)")
-    print(format_table(mt_rows, columns=MICRO_MT_COLUMNS, floatfmt=".4f"))
-    save_json(results_path("micro_ops.json"), rows + mt_rows)
-
-    for row in mt_rows:
-        assert row["max_abs_diff"] < 1e-3, (
-            f"threaded cgen kernel diverged from single-thread: {row}"
-        )
-        if row["fallback"]:
-            print(
-                f"NOTICE: threaded timing for {row['op']} measured the "
-                "numpy fallback — no C compiler rendered the plan"
-            )
+    save_json(results_path("micro_ops.json"), rows)
 
     for row in rows:
         assert row["max_abs_diff"] < 1e-3, (

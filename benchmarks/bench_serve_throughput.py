@@ -23,11 +23,6 @@ section each, see ``repro.experiments.reporting.merge_json_section``):
   each pool saturates (deadline-miss rate over the budget).  Asserted:
   at equal miss budget, the 2-device pool sustains >= 1.8x the adapting
   streams of one device, and capacity never shrinks as the pool grows.
-* **thread_pricing** — the same slack-admission fleet priced with a
-  1-thread vs a 2-thread roofline model
-  (:func:`repro.hw.deadline.parallel_speedup`).  Asserted: the
-  thread-aware pricing admits strictly more adaptation steps at an
-  equal-or-better deadline-miss rate.
 """
 
 import time
@@ -52,9 +47,6 @@ from repro.experiments import (
 from repro.experiments.bench_serve import (
     COLUMNS as BENCH_SERVE_COLUMNS,
     DEVICE_COLUMNS as BENCH_DEVICE_COLUMNS,
-    THREAD_PRICING_COLUMNS,
-    check_thread_pricing,
-    run_bench_thread_pricing,
 )
 from repro.models import get_config
 from repro.pipeline import PipelineConfig, RealTimePipeline
@@ -198,31 +190,6 @@ def test_jittered_admission(benchmark):
     # at equal deadline-miss rate, slack admission sustains at least the
     # static-stride fleet's adaptation throughput
     check_slack_dominates(rows)
-
-
-def test_thread_pricing(benchmark):
-    """Thread-aware roofline re-pricing admits more adaptation steps.
-
-    Simulated end to end (seeded arrivals, roofline service times, the
-    numpy backend), so the gate runs identically on 1-core hosts — it
-    measures the *pricing model*, not host parallelism.
-    """
-    scale = get_run_scale()
-    rows = benchmark.pedantic(
-        run_bench_thread_pricing, kwargs={"scale": scale},
-        rounds=1, iterations=1,
-    )
-
-    print("\nSERVE — thread-aware pricing: 1-thread vs 2-thread roofline")
-    print(format_table(rows, columns=list(THREAD_PRICING_COLUMNS)))
-    merge_json_section(
-        results_path("serve_throughput.json"), "thread_pricing",
-        {str(r["policy"]): r for r in rows},
-    )
-
-    # the re-pricing gate: the 2-thread-priced fleet admits strictly
-    # more adaptation steps at an equal-or-better deadline-miss rate
-    check_thread_pricing(rows)
 
 
 def test_device_scaling(benchmark):

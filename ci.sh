@@ -10,12 +10,9 @@
 # benchmarks/results/*.json, diff p95/fps against the previous run's
 # baseline via repro.experiments.regression) is exercised on every PR,
 # not just when a human runs the benchmarks by hand.  Lane 4 exercises
-# the cgen C plan backend (renderer parity tests twice — single-thread
-# and with a 2-wide worker pool — plus quick C-served bench runs); on
-# hosts without a C compiler it prints a visible skip notice and runs
-# only the compiler-free fallback/registry tests, and on single-core
-# hosts the threaded bench smoke loud-skips (the threaded code path is
-# still covered by the REPRO_CGEN_THREADS=2 test rerun).
+# the cgen C plan backend (renderer parity tests plus a quick C-served
+# bench run); on hosts without a C compiler it prints a visible skip
+# notice and runs only the compiler-free fallback/registry tests.
 
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -71,22 +68,9 @@ sys.exit(0 if find_cc() else 1)
 EOF
 then
     python -m pytest tests/test_backends.py -q
-    # the same parity suite with a 2-wide worker pool: exercises the
-    # threaded dispatch/barrier/teardown paths even on 1-core hosts
-    # (correctness is thread-count-invariant by construction)
-    REPRO_CGEN_THREADS=2 python -m pytest tests/test_backends.py -q
     # quick end-to-end run with the C backend serving the compiled
     # column: band parity vs eager is asserted inside the command
     python -m repro.experiments bench-infer --quick --backend cgen
-    # thread-scaling bench smoke: adds the MT columns (threaded parity
-    # asserted inside); the >= 1.3x wallclock speedup gate itself lives
-    # in bench_infer_engine.py and loud-skips on single-core hosts
-    if [[ "$(python -c 'import os; print(os.cpu_count() or 1)')" -ge 2 ]]; then
-        python -m repro.experiments bench-infer --quick --backend cgen --threads 2
-    else
-        echo "NOTICE: threaded bench smoke SKIPPED — single-core host;"
-        echo "        the pool cannot beat single-thread kernels here"
-    fi
 else
     echo "NOTICE: cgen lane SKIPPED — no C compiler on this host;"
     echo "        plans will fall back to numpy closures at runtime"

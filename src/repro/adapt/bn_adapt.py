@@ -70,9 +70,6 @@ class LDBNAdaptConfig:
     backend:
         Plan backend for the compiled adaptation step (``None`` →
         ``REPRO_BACKEND`` or "numpy"; see :mod:`repro.engine.backends`).
-    threads:
-        Kernel-pool width for codegen backends (``None`` defers to the
-        backend's resolution chain; the numpy backend ignores it).
     """
 
     lr: float = 1e-3
@@ -82,13 +79,10 @@ class LDBNAdaptConfig:
     ema_momentum: float = 0.1
     optimizer: str = "sgd"
     backend: Optional[str] = None
-    threads: Optional[int] = None
 
     def __post_init__(self):
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.threads is not None and self.threads < 1:
-            raise ValueError("threads must be >= 1 when set")
         if self.stats_mode not in ("replace", "ema"):
             raise ValueError(f"unknown stats_mode {self.stats_mode!r}")
         if self.optimizer not in ("sgd", "adam"):
@@ -156,8 +150,7 @@ class LDBNAdapt(Adapter):
 
         if self._compiled is None:
             self._compiled = CompiledAdaptStep(
-                self.model, backend=self.config.backend,
-                threads=self.config.threads,
+                self.model, backend=self.config.backend
             )
         try:
             return self._compiled.plan_for(images)

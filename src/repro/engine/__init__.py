@@ -41,27 +41,12 @@ Architecture (four layers):
   demoting every stage that cannot reproduce the oracle bitwise
   (float64-accumulation GEMMs back the ones that can) and plain ``cgen``
   holding rendered stages to a per-dtype float band instead.  Rendered
-  kernels are *threaded*: heavy stages (conv GEMMs with the im2col
-  gather fused into the kernel loop — no workspace materialization —
-  linear, max-pool, large elementwise sweeps, the rendered BN backward)
-  tile their output rows over a persistent pthread pool living inside
-  the generated ``.so`` (refcounted across plans sharing a cached
-  library, barrier-synced per stage; see
-  :mod:`~repro.engine.backends.threading`).  Fixed tile ownership with
-  no shared accumulators keeps ``cgen-strict`` bitwise at every pool
-  width and every run reproducible.  Width resolves ``threads=`` (on
-  ``compile_model``/``CompiledAdaptStep``, ``FleetConfig``,
-  ``PipelineConfig``, ``LDBNAdaptConfig``, or ``--threads``) →
-  ``$REPRO_CGEN_THREADS`` → device-profile cores → host CPUs;
-  ``threads=None`` keeps single-thread plans, bitwise-stable with
-  pre-threading runs, while an explicit width also re-prices
-  compute-bound roofline latencies via
-  :func:`repro.hw.parallel_speedup` so the scheduler and admission see
-  the faster device honestly.  Select a backend via
-  ``compile_model(model, backend=...)``, ``$REPRO_BACKEND``,
-  ``FleetConfig(backend=...)``, ``PipelineConfig(backend=...)``, or the
-  ``--backend``/``--parity`` CLI flags on ``fleet`` and the ``bench-*``
-  subcommands.
+  kernels are single-threaded, and conv GEMMs fuse the im2col gather
+  into the kernel loop, so converted layers need no plan-side workspace.
+  Select a backend via ``compile_model(model, backend=...)``,
+  ``$REPRO_BACKEND``, ``FleetConfig(backend=...)``,
+  ``PipelineConfig(backend=...)``, or the ``--backend``/``--parity`` CLI
+  flags on ``fleet`` and the ``bench-*`` subcommands.
 * :mod:`~repro.engine.compile` — :func:`compile_model` /
   :class:`CompiledInference`: a shape-keyed plan cache, retracing
   transparently when the input shape changes (fleet batch sizes).
@@ -79,7 +64,7 @@ backend's renderer stage-by-stage, exactly like inference), the backward
 program is pruned to the gradient paths that reach BN gamma/beta
 (conv/linear weight gradients are never computed) and offered to the
 renderer too — under ``cgen`` the BN gamma/beta gradient reductions and
-the pruned chain run as threaded C stages — and
+the pruned chain run as C stages — and
 activations/saved-buffers/gradients share the engine's arena with
 liveness computed over the combined forward+backward program.
 :class:`~repro.engine.compile.CompiledAdaptStep` caches those plans per

@@ -2,16 +2,10 @@
 
 ``numpy`` is the bit-exact closure oracle, ``cgen``/``cgen-strict``
 render plans to a compiled C translation unit with per-stage numpy
-fallback.  The cgen kernels are *threaded*: heavy stages tile their
-output space over a persistent pthread pool living inside the generated
-``.so`` (:mod:`repro.engine.backends.threading`), with fixed tile
-ownership of output rows and unshared accumulators so ``cgen-strict``
-stays bitwise at any thread count.  Pool width resolves
-``CGenConfig.threads`` → ``$REPRO_CGEN_THREADS`` → device-profile cores
-→ host CPUs, and every ``compile_*`` entry point takes a ``threads``
-override.  See :mod:`repro.engine.backends.base` for the interface and
-registry, :mod:`repro.engine.backends.core` for the shared
-arena/liveness/im2col lowering machinery.
+fallback; every rendered stage is one single-threaded C function.  See
+:mod:`repro.engine.backends.base` for the interface and registry,
+:mod:`repro.engine.backends.core` for the shared arena/liveness/im2col
+lowering machinery.
 """
 
 from .base import (
@@ -23,7 +17,6 @@ from .base import (
 )
 from .cgen import PARITY_ATOL, PARITY_RTOL, CGenBackend, find_cc
 from .numpy_backend import NumpyBackend
-from .threading import CGenConfig, resolve_threads, tile_bounds
 
 __all__ = [
     "PlanBackend",
@@ -33,10 +26,7 @@ __all__ = [
     "resolve_backend",
     "NumpyBackend",
     "CGenBackend",
-    "CGenConfig",
     "PARITY_RTOL",
     "PARITY_ATOL",
     "find_cc",
-    "resolve_threads",
-    "tile_bounds",
 ]

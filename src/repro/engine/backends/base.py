@@ -41,12 +41,11 @@ class PlanBackend:
 
     name: str = "abstract"
 
-    def compile_inference(self, graph, profile: bool = False,
-                          threads=None):
+    def compile_inference(self, graph, profile: bool = False):
         raise NotImplementedError
 
     def compile_adaptation(self, graph, groups: int = 1,
-                           profile: bool = False, threads=None):
+                           profile: bool = False):
         raise NotImplementedError
 
 

@@ -10,32 +10,21 @@ LD-BN-ADAPT backward (BN gamma/beta grads + the reduced chain) are
 offered.  At finalize time the accepted stages become one translation
 unit
 
-* one ``static void s<id>(char** T, i64 tid, i64 nt)`` function per
+* one single-threaded ``static void s<id>(char** T)`` function per
   stage, reading its buffers from a pointer table at
   compile-time-constant slots;
 * a single exported ``repro_run(char** T, const long long* ids, n)``
   driver, so a run of consecutive rendered stages costs one ``ctypes``
-  call instead of one Python closure dispatch per stage;
-* a persistent pthread worker pool (see
-  :mod:`repro.engine.backends.threading`), spawned once per loaded
-  ``.so`` and refcounted across the plans sharing it.  Heavy stages are
-  tiled over the pool by *fixed output-row ownership* — thread ``t`` of
-  ``nt`` owns rows ``[total*t//nt, total*(t+1)//nt)`` and runs the same
-  serial reduction order per element as the single-thread kernel, so no
-  accumulator is shared, no atomics exist, and outputs are bitwise
-  identical run-to-run and across thread counts.  Each dispatch is
-  barrier-synced, so replay semantics and the runtime pointer table are
-  unchanged.  Conv stages fold the im2col gather into the GEMM loop:
-  each thread gathers only its own pixel tile into per-thread scratch
-  inside the ``.so``, and the plan-side im2col workspaces of surviving
-  conv stages are released at finalize (``profile_summary()`` shows
-  zero im2col workspace bytes for converted layers).
+  call instead of one Python closure dispatch per stage.
 
-compiled with ``cc -shared -O2 -march=native -pthread`` (plus
-``-ffp-contract=off`` under strict parity) and loaded through
+Conv stages fold the im2col gather into the GEMM loop: the gather lands
+in a static scratch arena inside the ``.so``, and the plan-side im2col
+workspaces of surviving conv stages are released at finalize
+(``profile_summary()`` shows zero im2col workspace bytes for converted
+layers).  The unit is compiled with ``cc -shared -O2 -march=native``
+(plus ``-ffp-contract=off`` under strict parity) and loaded through
 :mod:`ctypes`.  Artifacts are cached on disk keyed by the source hash
-*and* a plan-variant tag (thread count, parity — two configs rendering
-different tilings can never collide; ``~/.cache/repro_cgen`` or
+*and* a plan-variant tag (the parity family; ``~/.cache/repro_cgen`` or
 ``$REPRO_CGEN_CACHE``) — a cached ``.so`` loads even when no compiler is
 present, the cache is checked *before* the compiler lookup for exactly
 that reason, and a corrupted cache entry is deleted and recompiled
@@ -50,7 +39,7 @@ overrides need no retrace and no recompile.
 Parity is enforced structurally, per stage: after compilation every
 rendered stage is probed on the traced example against its own numpy
 closure (snapshot the output buffers, run the oracle, rewind, run the C
-stage — through the same pool dispatch production uses — compare) and
+stage through the same ``repro_run`` driver production uses, compare) and
 demoted back to the closure on mismatch.  ``cgen`` compares within a
 tight tolerance band (:data:`PARITY_RTOL` / :data:`PARITY_ATOL`);
 ``cgen-strict`` compares bitwise (``tobytes``) and backs the comparison
@@ -75,13 +64,6 @@ import numpy as np
 
 from .base import PlanBackend, register_backend
 from .core import ConvLowering, PoolLowering, _timed_step
-from .threading import (
-    CGenConfig,
-    PoolHandle,
-    pool_runtime_source,
-    resolve_threads,
-    scratch_prelude,
-)
 
 _ENV_CC = "REPRO_CC"
 _ENV_CACHE = "REPRO_CGEN_CACHE"
@@ -91,12 +73,8 @@ _ENV_CACHE = "REPRO_CGEN_CACHE"
 # pass-per-op ufuncs (no FMA contraction) and can probe bitwise; band
 # parity allows contraction — FMA both doubles GEMM throughput and
 # *reduces* rounding error, and the tolerance probe still gates it.
-_BASE_CFLAGS = ["-shared", "-fPIC", "-O2", "-march=native", "-pthread",
+_BASE_CFLAGS = ["-shared", "-fPIC", "-O2", "-march=native",
                 "-fno-math-errno", "-fvect-cost-model=dynamic"]
-
-# stages below this many inner-loop iterations run inline: a pool
-# dispatch costs a wake+barrier (~µs), so tiny stages stay serial
-_MT_MIN_WORK = 1 << 15
 
 
 def _cflags(strict: bool) -> List[str]:
@@ -133,12 +111,11 @@ def default_cache_dir() -> str:
     )
 
 
-def _plan_variant(threads: int, strict: bool) -> str:
+def _plan_variant(strict: bool) -> str:
     """Cache-key variant tag: everything besides the literal source that
-    selects a different rendering (tiling width, parity family).  The
-    rendered source already differs per thread count — the tag makes the
-    keying *structural* rather than an accident of codegen."""
-    return f"v2:nt{threads}:{'strict' if strict else 'band'}"
+    selects a different rendering (the parity family).  The version
+    prefix retires every artifact rendered by an older layout."""
+    return f"v3:{'strict' if strict else 'band'}"
 
 
 def _ensure_so(source: str, cache_dir: str, flags: List[str],
@@ -146,8 +123,8 @@ def _ensure_so(source: str, cache_dir: str, flags: List[str],
     """Return ``(so_path, cache_hit, fail_reason)`` for ``source``.
 
     The key covers the source hash, the compile flags, and the plan
-    ``variant`` tag (thread count / parity), so two configs that render
-    different tilings can never collide on one artifact.  The cache
+    ``variant`` tag (parity family), so two configs that render
+    different kernels can never collide on one artifact.  The cache
     lookup happens *before* the compiler lookup: a previously compiled
     plan keeps loading after the compiler disappears.
     """
@@ -231,8 +208,8 @@ def _bindv(tab: np.ndarray, slot: int, src: np.ndarray, cell: list) -> None:
 class _Offer:
     """One accepted stage: its C function id, oracle closure, outputs."""
 
-    __slots__ = ("sid", "fallback", "outs", "binders", "demoted", "mt",
-                 "geo", "tol_dtype")
+    __slots__ = ("sid", "fallback", "outs", "binders", "demoted", "geo",
+                 "tol_dtype")
 
     def __init__(self, sid: int, fallback: Callable[[], None],
                  outs: List[np.ndarray]):
@@ -241,7 +218,6 @@ class _Offer:
         self.outs = outs
         self.binders: List[Callable[[], None]] = []
         self.demoted = False
-        self.mt = False          # dispatched across the worker pool
         self.geo = None          # ConvLowering whose im2col workspace
         #                          becomes releasable if this survives
         self.tol_dtype = None    # band-tolerance override (reductions
@@ -253,17 +229,14 @@ class CRenderer:
 
     ``sections`` names the plan step lists rendered in replay order —
     ``("_steps",)`` for inference plans, ``("_fwd", "_bwd")`` for
-    adaptation plans.  ``threads`` is the resolved worker-pool width
-    baked into this plan's kernels.
+    adaptation plans.
     """
 
     def __init__(self, backend: "CGenBackend",
-                 sections: Tuple[str, ...] = ("_steps",),
-                 threads: int = 1):
+                 sections: Tuple[str, ...] = ("_steps",)):
         self.backend = backend
         self.strict = backend.parity == "strict"
         self._sections = tuple(sections)
-        self.threads = max(1, int(threads))
         self._offers: List[_Offer] = []
         self._funcs: List[str] = []
         self._nslots = 1  # slot 0 is the plan input, bound per replay
@@ -337,23 +310,8 @@ class CRenderer:
             return None
         return self._bind_static(arr)
 
-    # -- threading helpers -----------------------------------------------
-    def _mt(self, work: int) -> bool:
-        """Dispatch this stage across the pool? Only with >1 threads and
-        enough inner-loop work to amortize the wake+barrier."""
-        return self.threads > 1 and work >= _MT_MIN_WORK
-
     def _need_scratch(self, nbytes: int) -> None:
         self._scratch_bytes = max(self._scratch_bytes, int(nbytes))
-
-    @staticmethod
-    def _tile(total: int, lo: str = "lo", hi: str = "hi") -> List[str]:
-        """Fixed-ownership partition: ``[total*tid//nt, total*(tid+1)//nt)``
-        — the deterministic-reduction rule's row assignment."""
-        return [
-            f"    const i64 {lo} = ({total}LL * tid) / nt;",
-            f"    const i64 {hi} = ({total}LL * (tid + 1)) / nt;",
-        ]
 
     # -- plan hooks ------------------------------------------------------
     def note_stage(self, start: int, end: int, label: str,
@@ -369,16 +327,15 @@ class CRenderer:
         return offer
 
     def _accept(self, fallback, outs, body: str, binders=(),
-                mt: bool = False, geo=None, tol_dtype=None) -> _Offer:
+                geo=None, tol_dtype=None) -> _Offer:
         sid = len(self._offers)
         offer = _Offer(sid, fallback, outs)
         offer.binders.extend(binders)
-        offer.mt = bool(mt)
         offer.geo = geo
         offer.tol_dtype = tol_dtype
         self._funcs.append(
-            f"static void s{sid}(char** T, i64 tid, i64 nt) {{\n"
-            "    (void)T; (void)tid; (void)nt;\n"
+            f"static void s{sid}(char** T) {{\n"
+            "    (void)T;\n"
             f"{body}}}\n"
         )
         self._offers.append(offer)
@@ -431,10 +388,8 @@ class CRenderer:
         ]
         # small output tiles flip the column layout to (P, KT) and use a
         # dot-product kernel: contiguous k-runs vectorize where the axpy
-        # form would spend its time on 3..10-element inner loops.  Small
-        # stages stay on the dispatching thread.
+        # form would spend its time on 3..10-element inner loops
         small = (not self.strict) and p < 16
-        mt = (not small) and self._mt(n * f * p * kt)
         if not geo.identity_cols:
             k, i, j = geo.kij
             ih = i - geo.padding[0]
@@ -449,12 +404,9 @@ class CRenderer:
             idx = np.ascontiguousarray(idx.reshape(-1))
             si = self._bind_static(idx)
             lines.append(f"    const i64* restrict IX = (const i64*)T[{si}];")
-            # fused im2col: each thread gathers only its own pixel tile
-            # into per-thread scratch inside the .so — there is no
-            # plan-side cols workspace for this stage at all
-            rows = -(-p // self.threads) if mt else p
-            self._need_scratch(kt * rows * item)
-        elif small:
+        if small or not geo.identity_cols:
+            # fused im2col (or the small-P transpose): the columns land
+            # in scratch inside the .so — no plan-side cols workspace
             self._need_scratch(kt * p * item)
         if sb is not None:
             lines.append(f"    const {ct}* Bi = (const {ct}*)T[{sb}];")
@@ -487,34 +439,20 @@ class CRenderer:
             )
             return self._accept(
                 fallback, [out3], "\n".join(lines) + "\n", offer.binders,
-                mt=False, geo=geo,
+                geo=geo,
             )
 
-        # tiled kernels: thread `tid` owns output pixels [plo, phi) of
-        # every (n, f) row and computes them with the single-thread
-        # kernel's serial k-order — bitwise invariant across nt
-        lines += self._tile(p, "plo", "phi")
-        lines.append("    const i64 tw = phi - plo;")
-        lines.append("    if (tw <= 0) return;")
         if not geo.identity_cols:
-            lines.append(f"    {ct}* restrict CW = ({ct}*)POOL_SCR(tid);")
+            lines.append(f"    {ct}* restrict CW = ({ct}*)SCRATCH;")
         lines.append(f"    for (i64 n = 0; n < {n}; ++n) {{")
         lines.append(f"        const {xt}* xs = X + n * {chw}LL;")
         if geo.identity_cols:
-            lines += [
-                f"        const {ct}* cols = (const {ct}*)xs + plo;",
-                f"        const i64 cst = {p}LL;",
-            ]
+            lines.append(f"        const {ct}* cols = (const {ct}*)xs;")
         else:
             lines += [
-                f"        for (i64 k = 0; k < {kt}; ++k) {{",
-                f"            const i64* ik = IX + k * {p} + plo;",
-                f"            {ct}* cw = CW + k * tw;",
-                "            for (i64 t = 0; t < tw; ++t) "
-                f"{{ i64 v = ik[t]; cw[t] = v < 0 ? ({ct})0 : ({ct})xs[v]; }}",
-                "        }",
+                f"        for (i64 t = 0; t < {kt * p}; ++t) "
+                f"{{ i64 v = IX[t]; CW[t] = v < 0 ? ({ct})0 : ({ct})xs[v]; }}",
                 f"        const {ct}* cols = CW;",
-                "        const i64 cst = tw;",
             ]
         lines.append(f"        {ct}* on = O + n * {f * p}LL;")
         if self.strict:
@@ -523,12 +461,12 @@ class CRenderer:
             # to sum in the same order)
             lines += [
                 f"        for (i64 f = 0; f < {f}; ++f) {{",
-                f"            {ct}* of = on + f * {p} + plo;",
+                f"            {ct}* of = on + f * {p};",
                 f"            const {ct}* wf = Wt + f * {kt};",
-                "            for (i64 q = 0; q < tw; ++q) {",
+                f"            for (i64 q = 0; q < {p}; ++q) {{",
                 "                double acc = 0.0;",
                 f"                for (i64 k = 0; k < {kt}; ++k) "
-                "acc += (double)wf[k] * (double)cols[k * cst + q];",
+                f"acc += (double)wf[k] * (double)cols[k * {p} + q];",
                 f"                of[q] = ({ct})acc;",
                 "            }",
                 "        }",
@@ -540,7 +478,7 @@ class CRenderer:
             f4 = f & ~3
             lines += [
                 f"        for (i64 f = 0; f < {f4}; f += 4) {{",
-                f"            {ct}* o0 = on + f * {p} + plo;",
+                f"            {ct}* o0 = on + f * {p};",
                 f"            {ct}* o1 = o0 + {p};",
                 f"            {ct}* o2 = o1 + {p};",
                 f"            {ct}* o3 = o2 + {p};",
@@ -548,14 +486,14 @@ class CRenderer:
                 f"            const {ct}* w1 = w0 + {kt};",
                 f"            const {ct}* w2 = w1 + {kt};",
                 f"            const {ct}* w3 = w2 + {kt};",
-                "            for (i64 q = 0; q < tw; ++q) "
+                f"            for (i64 q = 0; q < {p}; ++q) "
                 f"{{ o0[q] = ({ct})0; o1[q] = ({ct})0; "
                 f"o2[q] = ({ct})0; o3[q] = ({ct})0; }}",
                 f"            for (i64 k = 0; k < {kt}; ++k) {{",
                 f"                {ct} a0 = w0[k], a1 = w1[k], "
                 "a2 = w2[k], a3 = w3[k];",
-                f"                const {ct}* ck = cols + k * cst;",
-                "                for (i64 q = 0; q < tw; ++q) {",
+                f"                const {ct}* ck = cols + k * {p};",
+                f"                for (i64 q = 0; q < {p}; ++q) {{",
                 f"                    {ct} cv = ck[q];",
                 "                    o0[q] += a0 * cv; o1[q] += a1 * cv;",
                 "                    o2[q] += a2 * cv; o3[q] += a3 * cv;",
@@ -563,13 +501,13 @@ class CRenderer:
                 "            }",
                 "        }",
                 f"        for (i64 f = {f4}; f < {f}; ++f) {{",
-                f"            {ct}* of = on + f * {p} + plo;",
+                f"            {ct}* of = on + f * {p};",
                 f"            const {ct}* wf = Wt + f * {kt};",
-                f"            for (i64 q = 0; q < tw; ++q) of[q] = ({ct})0;",
+                f"            for (i64 q = 0; q < {p}; ++q) of[q] = ({ct})0;",
                 f"            for (i64 k = 0; k < {kt}; ++k) {{",
                 f"                {ct} wv = wf[k];",
-                f"                const {ct}* ck = cols + k * cst;",
-                "                for (i64 q = 0; q < tw; ++q) "
+                f"                const {ct}* ck = cols + k * {p};",
+                f"                for (i64 q = 0; q < {p}; ++q) "
                 "of[q] += wv * ck[q];",
                 "            }",
                 "        }",
@@ -578,11 +516,11 @@ class CRenderer:
         def epi_loop(setup: str, ops: List[str]) -> List[str]:
             body = [
                 f"        for (i64 f = 0; f < {f}; ++f) {{",
-                f"            {ct}* of = on + f * {p} + plo;",
+                f"            {ct}* of = on + f * {p};",
             ]
             if setup:
                 body.append(f"            {setup}")
-            body.append("            for (i64 q = 0; q < tw; ++q) {")
+            body.append(f"            for (i64 q = 0; q < {p}; ++q) {{")
             body.append(f"                {ct} v = of[q];")
             for op in ops:
                 if op:
@@ -628,16 +566,15 @@ class CRenderer:
 
         return self._accept(
             fallback, [out3], "\n".join(lines) + "\n", offer.binders,
-            mt=mt, geo=geo,
+            geo=geo,
         )
 
     def _conv_small_body(self, geo, ct, xt, n, f, p, kt, chw,
                          has_bn, bias_op, relu_op, eps) -> List[str]:
-        """The small-P (P, KT) dot kernel, single-threaded: eight
-        explicit accumulator chains over the contiguous k run —
-        independent streams the vectorizer can SLP-combine without any
-        reassociation flags."""
-        lines = [f"    {ct}* restrict CW = ({ct}*)POOL_SCR(0);"]
+        """The small-P (P, KT) dot kernel: eight explicit accumulator
+        chains over the contiguous k run — independent streams the
+        vectorizer can SLP-combine without any reassociation flags."""
+        lines = [f"    {ct}* restrict CW = ({ct}*)SCRATCH;"]
         lines.append(f"    for (i64 n = 0; n < {n}; ++n) {{")
         lines.append(f"        const {xt}* xs = X + n * {chw}LL;")
         if geo.identity_cols:
@@ -820,7 +757,6 @@ class CRenderer:
 
         n, fin = x_shape
         fout = out2.shape[1]
-        mt = self._mt(n * fout * fin)
         lines = [
             f"    const {ct}* restrict X = (const {ct}*)T[{sx}];",
             f"    const {ct}* restrict Wt = (const {ct}*)T[{sw}];",
@@ -828,14 +764,11 @@ class CRenderer:
         ]
         if sb is not None:
             lines.append(f"    const {ct}* Bi = (const {ct}*)T[{sb}];")
-        # threads own output-feature rows; each (n, o) dot runs its
-        # serial i-order regardless of nt
-        lines += self._tile(fout, "olo", "ohi")
         lines += [
             f"    for (i64 n = 0; n < {n}; ++n) {{",
             f"        const {ct}* xn = X + n * {fin}LL;",
             f"        {ct}* on = O + n * {fout}LL;",
-            "        for (i64 o = olo; o < ohi; ++o) {",
+            f"        for (i64 o = 0; o < {fout}; ++o) {{",
             f"            const {ct}* wo = Wt + o * {fin}LL;",
         ]
         if self.strict:
@@ -875,7 +808,7 @@ class CRenderer:
             "    }",
         ]
         return self._accept(
-            fallback, [out2], "\n".join(lines) + "\n", offer.binders, mt=mt
+            fallback, [out2], "\n".join(lines) + "\n", offer.binders
         )
 
     def _try_maxpool(self, spec, fallback):
@@ -914,7 +847,6 @@ class CRenderer:
         hw = geo.h * geo.w
         p = geo.p_total
         kk = geo.kernel[0] * geo.kernel[1]
-        mt = self._mt(nc * p * kk)
         lines = [
             f"    const {xt}* restrict X = (const {xt}*)T[{sx}];",
             f"    {xt}* restrict O = ({xt}*)T[{so}];",
@@ -922,11 +854,8 @@ class CRenderer:
         ]
         if sa is not None:
             lines.append(f"    i64* A = (i64*)T[{sa}];")
-        # threads own (n, c) planes: each plane's max/argmax scan keeps
-        # the single-thread window order, so ties break identically
-        lines += self._tile(nc, "qlo", "qhi")
         lines += [
-            "    for (i64 q = qlo; q < qhi; ++q) {",
+            f"    for (i64 q = 0; q < {nc}; ++q) {{",
             f"        const {xt}* xs = X + q * {hw}LL;",
             f"        {xt}* on = O + q * {p}LL;",
         ]
@@ -950,7 +879,7 @@ class CRenderer:
             "    }",
         ]
         return self._accept(
-            fallback, outs, "\n".join(lines) + "\n", offer.binders, mt=mt
+            fallback, outs, "\n".join(lines) + "\n", offer.binders
         )
 
     # elementwise stages: same-shape same-dtype only, one flat loop ------
@@ -986,14 +915,11 @@ class CRenderer:
         body = "\n".join(
             decls + [
                 f"    {ct}* O = ({ct}*)T[{so}];",
-            ] + self._tile(size) + [
-                f"    for (i64 t = lo; t < hi; ++t) {{ "
+                f"    for (i64 t = 0; t < {size}; ++t) {{ "
                 f"{expr_fn(ct)} }}",
             ]
         ) + "\n"
-        return self._accept(
-            fallback, [out], body, offer.binders, mt=self._mt(size)
-        )
+        return self._accept(fallback, [out], body, offer.binders)
 
     def _try_relu(self, spec, fallback):
         return self._try_elementwise(
@@ -1041,12 +967,11 @@ class CRenderer:
             return None
         value = float(spec["value"])
         size = int(dst.size)
-        body = "\n".join(
-            [f"    {ct}* O = ({ct}*)T[{so}];"]
-            + self._tile(size)
-            + [f"    for (i64 t = lo; t < hi; ++t) O[t] = ({ct}){value!r};"]
-        ) + "\n"
-        return self._accept(fallback, [dst], body, mt=self._mt(size))
+        body = (
+            f"    {ct}* O = ({ct}*)T[{so}];\n"
+            f"    for (i64 t = 0; t < {size}; ++t) O[t] = ({ct}){value!r};\n"
+        )
+        return self._accept(fallback, [dst], body)
 
     def _try_copy(self, spec, fallback):
         """Pass a gradient through unchanged (add / reshape backward)."""
@@ -1066,11 +991,10 @@ class CRenderer:
             [
                 f"    const {ct}* G = (const {ct}*)T[{sg}];",
                 f"    {ct}* O = ({ct}*)T[{so}];",
+                f"    for (i64 t = 0; t < {size}; ++t) O[t] = G[t];",
             ]
-            + self._tile(size)
-            + ["    for (i64 t = lo; t < hi; ++t) O[t] = G[t];"]
         ) + "\n"
-        return self._accept(fallback, [dst], body, mt=self._mt(size))
+        return self._accept(fallback, [dst], body)
 
     def _try_relu_bwd(self, spec, fallback):
         """Gate the gradient by the forward output's sign.
@@ -1097,20 +1021,16 @@ class CRenderer:
                 f"    const {ct}* G = (const {ct}*)T[{sg}];",
                 f"    const {ct}* Y = (const {ct}*)T[{sy}];",
                 f"    {ct}* O = ({ct}*)T[{so}];",
-            ]
-            + self._tile(size)
-            + [
-                "    for (i64 t = lo; t < hi; ++t) "
-                f"O[t] = Y[t] > ({ct})0 ? G[t] * ({ct})1 : G[t] * ({ct})0;"
+                f"    for (i64 t = 0; t < {size}; ++t) "
+                f"O[t] = Y[t] > ({ct})0 ? G[t] * ({ct})1 : G[t] * ({ct})0;",
             ]
         ) + "\n"
-        return self._accept(fallback, [dst], body, mt=self._mt(size))
+        return self._accept(fallback, [dst], body)
 
     def _try_linear_bwd(self, spec, fallback):
         """Grad wrt a linear layer's input: ``dst = g @ W``.
 
-        Threads own input-feature columns; per element the o-order is
-        serial.  Band parity only — the oracle is a BLAS matmul.
+        Band parity only — the oracle is a BLAS matmul.
         """
         dtype = np.dtype(spec["dtype"])
         ct = _CTYPE.get(dtype.name)
@@ -1134,30 +1054,27 @@ class CRenderer:
             f"    const {ct}* restrict W = (const {ct}*)T[{sw}];",
             f"    {ct}* restrict O = ({ct}*)T[{so}];",
         ]
-        lines += self._tile(fin, "jlo", "jhi")
         lines += [
             f"    for (i64 n = 0; n < {n}; ++n) {{",
             f"        const {ct}* gn = G + n * {fout}LL;",
             f"        {ct}* dn = O + n * {fin}LL;",
-            f"        for (i64 j = jlo; j < jhi; ++j) dn[j] = ({ct})0;",
+            f"        for (i64 j = 0; j < {fin}; ++j) dn[j] = ({ct})0;",
             f"        for (i64 o = 0; o < {fout}; ++o) {{",
             f"            {ct} a = gn[o];",
             f"            const {ct}* wo = W + o * {fin}LL;",
-            "            for (i64 j = jlo; j < jhi; ++j) "
+            f"            for (i64 j = 0; j < {fin}; ++j) "
             "dn[j] += a * wo[j];",
             "        }",
             "    }",
         ]
         return self._accept(
-            fallback, [dst], "\n".join(lines) + "\n", offer.binders,
-            mt=self._mt(n * fout * fin),
+            fallback, [dst], "\n".join(lines) + "\n", offer.binders
         )
 
     def _try_conv_bwd(self, spec, fallback):
         """Grad wrt a 1x1 (identity-cols) conv input:
         ``dst[n,k,p] = sum_f W[f,k] * g[n,f,p]``.
 
-        Threads own pixel columns; the f-order per element is serial.
         Band parity only — the oracle is an einsum.
         """
         dtype = np.dtype(spec["dtype"])
@@ -1182,39 +1099,33 @@ class CRenderer:
             f"    const {ct}* restrict W = (const {ct}*)T[{sw}];",
             f"    {ct}* restrict O = ({ct}*)T[{so}];",
         ]
-        lines += self._tile(p, "plo", "phi")
         lines += [
             f"    for (i64 n = 0; n < {n}; ++n) {{",
             f"        const {ct}* gn = G + n * {f * p}LL;",
             f"        {ct}* dn = O + n * {kt * p}LL;",
-            f"        for (i64 k = 0; k < {kt}; ++k) {{",
-            f"            {ct}* dk = dn + k * {p};",
-            f"            for (i64 q = plo; q < phi; ++q) dk[q] = ({ct})0;",
-            "        }",
+            f"        for (i64 t = 0; t < {kt * p}; ++t) dn[t] = ({ct})0;",
             f"        for (i64 f = 0; f < {f}; ++f) {{",
             f"            const {ct}* gf = gn + f * {p};",
             f"            const {ct}* wf = W + f * {kt};",
             f"            for (i64 k = 0; k < {kt}; ++k) {{",
             f"                {ct} a = wf[k];",
             f"                {ct}* dk = dn + k * {p};",
-            "                for (i64 q = plo; q < phi; ++q) "
+            f"                for (i64 q = 0; q < {p}; ++q) "
             "dk[q] += a * gf[q];",
             "            }",
             "        }",
             "    }",
         ]
         return self._accept(
-            fallback, [dst], "\n".join(lines) + "\n", offer.binders,
-            mt=self._mt(n * f * kt * p),
+            fallback, [dst], "\n".join(lines) + "\n", offer.binders
         )
 
     def _try_bn_bwd(self, spec, fallback):
         """The rendered LD-BN-ADAPT backward: per-(group, channel) BN
         gamma/beta grads plus (optionally) the reduced input-grad chain.
 
-        Threads own (group, channel) pairs; each pair's two reductions
-        run serially in f64 — deterministic for any nt.  The band
-        tolerance is keyed to the *data* dtype (``tol_dtype``): the f64
+        Each (group, channel) pair's two reductions run serially in
+        f64, so replays are deterministic.  The band tolerance is keyed to the *data* dtype (``tol_dtype``): the f64
         tap buffers hold f32-sourced sums whose pairwise-vs-serial
         difference lives at f32 scale.
         """
@@ -1273,9 +1184,8 @@ class CRenderer:
         ]
         if so is not None:
             lines.append(f"    {ct}* restrict O = ({ct}*)T[{so}];")
-        lines += self._tile(total, "ulo", "uhi")
         lines += [
-            "    for (i64 u = ulo; u < uhi; ++u) {",
+            f"    for (i64 u = 0; u < {total}; ++u) {{",
             f"        const i64 gr = u / {c};",
             f"        const i64 ch = u % {c};",
             "        double sg = 0.0, sgx = 0.0;",
@@ -1311,27 +1221,28 @@ class CRenderer:
         lines.append("    }")
         return self._accept(
             fallback, outs, "\n".join(lines) + "\n", offer.binders,
-            mt=self._mt(2 * groups * gs * c * hw), tol_dtype=dtype,
+            tol_dtype=dtype,
         )
 
     # -- finalize --------------------------------------------------------
     def _assemble(self) -> str:
+        # gather scratch shared by every stage (stages run one at a time)
+        words = max((self._scratch_bytes + 7) // 8, 1)
         parts = [
             "#include <math.h>",
-            "#include <pthread.h>",
-            "#include <stdint.h>",
             "typedef long long i64;",
-            "typedef void (*stage_fn)(char**, i64, i64);",
-            scratch_prelude(self.threads, self._scratch_bytes),
+            "typedef void (*stage_fn)(char**);",
+            f"static double SCRATCH[{words}];",
             "",
         ]
         parts += self._funcs
         names = ", ".join(f"s{o.sid}" for o in self._offers)
-        flags = ", ".join("1" if o.mt else "0" for o in self._offers)
         parts += [
             f"static stage_fn STAGES[] = {{ {names} }};",
-            f"static const char STAGE_MT[] = {{ {flags} }};",
-            pool_runtime_source(self.threads),
+            "",
+            "void repro_run(char** T, const i64* ids, i64 n) {",
+            "    for (i64 q = 0; q < n; ++q) STAGES[ids[q]](T);",
+            "}",
         ]
         return "\n".join(parts) + "\n"
 
@@ -1372,8 +1283,6 @@ class CRenderer:
             "so": None,
             "cache_hit": False,
             "cache_recovered": False,
-            "threads": self.threads,
-            "mt_stages": 0,
             "workspace_freed": 0,
         }
         labels = self._pos_labels()
@@ -1397,7 +1306,7 @@ class CRenderer:
 
         source = self._assemble()
         flags = _cflags(self.strict)
-        variant = _plan_variant(self.threads, self.strict)
+        variant = _plan_variant(self.strict)
         so, cache_hit, err = _ensure_so(
             source, self.backend.cache_dir, flags, variant
         )
@@ -1424,15 +1333,10 @@ class CRenderer:
         run_fn.argtypes = [ctypes.c_void_p, ctypes.c_void_p,
                            ctypes.c_longlong]
         run_fn.restype = None
-        start_fn = lib.repro_pool_start
-        start_fn.restype = ctypes.c_longlong
-        lib.repro_pool_stop.restype = None
-        info["pool_width"] = int(start_fn())
-        pool = PoolHandle(lib)
 
         tab = np.zeros(self._nslots, dtype=np.uintp)
         self._tab_holder[0] = tab
-        keep: List[object] = [lib, tab, pool]
+        keep: List[object] = [lib, tab]
         for slot, arr in self._static:
             tab[slot] = arr.ctypes.data
             keep.append(arr)
@@ -1441,8 +1345,7 @@ class CRenderer:
         # -- parity probe: replay the traced example, each rendered stage
         # checked against its own oracle closure via snapshot-rewind so
         # every comparison sees bit-identical inputs.  The C stage runs
-        # through the same pool dispatch production uses, so the probe
-        # validates the exact threaded execution.
+        # through the same repro_run driver production uses.
         x_probe = np.ascontiguousarray(graph._keepalive[0].data)
         tab[0] = x_probe.ctypes.data
         plan._input_cell[0] = x_probe
@@ -1543,9 +1446,6 @@ class CRenderer:
             steps[:] = new_steps
         info["rendered"] = rendered
         info["demoted"] = demoted
-        info["mt_stages"] = sum(
-            1 for o in self._offers if o.mt and not o.demoted
-        )
 
         # -- fused-im2col workspace release: a surviving conv stage
         # gathers inside the .so, so its plan-side im2col workspaces
@@ -1597,19 +1497,18 @@ class CRenderer:
 
 
 class CGenBackend(PlanBackend):
-    """Plans rendered to threaded C, per-stage numpy fallback, disk-cached
-    ``.so``.  ``threads`` fixes the worker-pool width; ``None`` resolves
-    per compile via ``$REPRO_CGEN_THREADS`` → device cores → host CPUs."""
+    """Plans rendered to C, per-stage numpy fallback, disk-cached ``.so``.
 
-    def __init__(self, parity: str = "band",
-                 threads: Optional[int] = None,
-                 config: Optional[CGenConfig] = None):
-        if config is None:
-            config = CGenConfig(parity=parity, threads=threads)
-        self.config = config
-        self.parity = config.parity
-        self.threads = config.threads
-        self.name = "cgen-strict" if config.parity == "strict" else "cgen"
+    ``parity`` selects the kernel family: ``"band"`` (fast kernels held
+    to a per-dtype float tolerance) or ``"strict"`` (bitwise-reproducible
+    kernels).
+    """
+
+    def __init__(self, parity: str = "band"):
+        if parity not in ("band", "strict"):
+            raise ValueError(f"parity must be 'band' or 'strict': {parity!r}")
+        self.parity = parity
+        self.name = "cgen-strict" if parity == "strict" else "cgen"
 
     @property
     def cache_dir(self) -> str:
@@ -1617,33 +1516,20 @@ class CGenBackend(PlanBackend):
         # $REPRO_CGEN_CACHE without rebuilding backend instances
         return default_cache_dir()
 
-    def _resolve_threads(self, threads: Optional[int]) -> int:
-        return resolve_threads(
-            threads if threads is not None else self.threads
-        )
-
-    def compile_inference(self, graph, profile: bool = False,
-                          threads: Optional[int] = None):
+    def compile_inference(self, graph, profile: bool = False):
         from ..plan import ExecutionPlan
 
         return ExecutionPlan(
-            graph, profile=profile,
-            renderer=CRenderer(
-                self, ("_steps",), threads=self._resolve_threads(threads)
-            ),
+            graph, profile=profile, renderer=CRenderer(self, ("_steps",))
         )
 
     def compile_adaptation(self, graph, groups: int = 1,
-                           profile: bool = False,
-                           threads: Optional[int] = None):
+                           profile: bool = False):
         from ..adapt_plan import AdaptationPlan
 
         return AdaptationPlan(
             graph, groups=groups, profile=profile,
-            renderer=CRenderer(
-                self, ("_fwd", "_bwd"),
-                threads=self._resolve_threads(threads),
-            ),
+            renderer=CRenderer(self, ("_fwd", "_bwd")),
         )
 
 

@@ -16,16 +16,13 @@ from .base import PlanBackend, register_backend
 class NumpyBackend(PlanBackend):
     name = "numpy"
 
-    # ``threads`` is accepted for interface parity and ignored: numpy's
-    # kernels thread (or don't) per BLAS build, not per plan
-    def compile_inference(self, graph, profile: bool = False,
-                          threads=None):
+    def compile_inference(self, graph, profile: bool = False):
         from ..plan import ExecutionPlan
 
         return ExecutionPlan(graph, profile=profile)
 
     def compile_adaptation(self, graph, groups: int = 1,
-                           profile: bool = False, threads=None):
+                           profile: bool = False):
         from ..adapt_plan import AdaptationPlan
 
         return AdaptationPlan(graph, groups=groups, profile=profile)

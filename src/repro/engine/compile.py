@@ -15,7 +15,7 @@ retraces — plans are cached per ``(shape, dtype)``.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -39,12 +39,10 @@ class CompiledInference:
     the same input shape overwrites; copy it if it must outlive a frame.
     """
 
-    def __init__(self, model, profile: bool = False, backend=None,
-                 threads: Optional[int] = None):
+    def __init__(self, model, profile: bool = False, backend=None):
         self.model = model
         self.profile = profile  # per-op timing on every plan (opt-in)
         self.backend = resolve_backend(backend)
-        self.threads = threads  # kernel pool width (codegen backends)
         self._plans: Dict[Tuple, ExecutionPlan] = {}
 
     def _plan(self, arr: np.ndarray) -> ExecutionPlan:
@@ -57,14 +55,7 @@ class CompiledInference:
         plan = self._plans.get(key)
         if plan is None:
             graph = trace(self.model, arr)
-            if self.threads is None:
-                plan = self.backend.compile_inference(
-                    graph, profile=self.profile
-                )
-            else:
-                plan = self.backend.compile_inference(
-                    graph, profile=self.profile, threads=self.threads
-                )
+            plan = self.backend.compile_inference(graph, profile=self.profile)
             self._plans[key] = plan
         return plan
 
@@ -89,8 +80,8 @@ class CompiledInference:
         return self._plans[(tuple(shape), np.dtype(dtype).str)]
 
 
-def compile_model(model, profile: bool = False, backend=None,
-                  threads: Optional[int] = None) -> CompiledInference:
+def compile_model(model, profile: bool = False,
+                  backend=None) -> CompiledInference:
     """Return a compiled, replayable inference callable for ``model``.
 
     ``profile=True`` compiles every plan with per-op timing
@@ -98,13 +89,9 @@ def compile_model(model, profile: bool = False, backend=None,
     closures with no timing code at all.  ``backend`` selects the plan
     lowering — a registry name (``"numpy"``, ``"cgen"``,
     ``"cgen-strict"``), a :class:`~repro.engine.backends.PlanBackend`
-    instance, or ``None`` for ``$REPRO_BACKEND``/numpy.  ``threads``
-    fixes the codegen kernel-pool width per plan (``None`` defers to the
-    backend's own resolution chain; the numpy backend ignores it).
+    instance, or ``None`` for ``$REPRO_BACKEND``/numpy.
     """
-    return CompiledInference(
-        model, profile=profile, backend=backend, threads=threads
-    )
+    return CompiledInference(model, profile=profile, backend=backend)
 
 
 class CompiledAdaptStep:
@@ -120,7 +107,7 @@ class CompiledAdaptStep:
     """
 
     def __init__(self, model, loss_fn=None, profile: bool = False,
-                 backend=None, threads: Optional[int] = None):
+                 backend=None):
         if loss_fn is None:
             from ..adapt.entropy import entropy_loss  # avoid a cycle
 
@@ -129,7 +116,6 @@ class CompiledAdaptStep:
         self.loss_fn = loss_fn
         self.profile = profile  # per-op timing on every plan (opt-in)
         self.backend = resolve_backend(backend)
-        self.threads = threads  # kernel pool width (codegen backends)
         self._plans: Dict[Tuple, AdaptationPlan] = {}
 
     def plan_for(self, arr: np.ndarray, groups: int = 1) -> AdaptationPlan:
@@ -144,15 +130,9 @@ class CompiledAdaptStep:
         plan = self._plans.get(key)
         if plan is None:
             graph = trace_entropy_step(self.model, arr, self.loss_fn)
-            if self.threads is None:
-                plan = self.backend.compile_adaptation(
-                    graph, groups=groups, profile=self.profile
-                )
-            else:
-                plan = self.backend.compile_adaptation(
-                    graph, groups=groups, profile=self.profile,
-                    threads=self.threads,
-                )
+            plan = self.backend.compile_adaptation(
+                graph, groups=groups, profile=self.profile
+            )
             self._plans[key] = plan
         return plan
 

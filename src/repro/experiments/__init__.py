@@ -23,10 +23,8 @@ from .bench_scenarios import (
 from .bench_serve import (
     check_device_scaling,
     check_slack_dominates,
-    check_thread_pricing,
     run_bench_devices,
     run_bench_serve,
-    run_bench_thread_pricing,
     scaling_archive,
     sustained_streams,
 )
@@ -93,8 +91,6 @@ __all__ = [
     "run_bench_infer",
     "run_bench_adapt",
     "run_bench_serve",
-    "run_bench_thread_pricing",
-    "check_thread_pricing",
     "run_bench_devices",
     "run_bench_scenarios",
     "check_scenarios",

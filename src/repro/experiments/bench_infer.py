@@ -47,7 +47,6 @@ def run_bench_infer(
     backbones: Sequence[str] = BACKBONES,
     seed: int = 0,
     backend: str = "numpy",
-    threads: Optional[int] = None,
 ) -> List[Dict[str, object]]:
     """Measure eager vs compiled inference; returns one row per
     (backbone, batch size) with p50/p95 latencies, speedups and the two
@@ -62,11 +61,6 @@ def run_bench_infer(
     ``cgen_fallback`` (True when no compiler was available and every
     stage fell back to the numpy closures, in which case the speedup is
     ~1.0 by construction).
-
-    ``threads`` (> 1) adds a fourth, threaded cgen column — the same
-    plans compiled with a ``threads``-wide kernel pool, interleaved with
-    the single-thread cgen samples so machine drift cancels in
-    ``cgen_mt_speedup_p95`` (single-thread cgen p95 over threaded p95).
     """
     scale = scale if scale is not None else get_run_scale()
     rng = np.random.default_rng(seed)
@@ -77,12 +71,7 @@ def run_bench_infer(
         model = build_model(preset, rng=rng)
         model.eval()
         engine = compile_model(model, backend=backend)
-        cgen_engine = compile_model(model, backend="cgen", threads=1)
-        mt = threads is not None and threads > 1
-        cgen_mt_engine = (
-            compile_model(model, backend="cgen", threads=threads)
-            if mt else None
-        )
+        cgen_engine = compile_model(model, backend="cgen")
         h, w = config.input_hw
 
         def frames(batch):
@@ -101,8 +90,6 @@ def run_bench_infer(
                 # is recorded in the row instead
                 warnings.simplefilter("ignore", RuntimeWarning)
                 cgen_out = cgen_engine(x).numpy().copy()
-                if mt:
-                    cgen_mt_out = cgen_mt_engine(x).numpy().copy()
             cgen_info = cgen_engine.plan_for(x.shape, x.dtype).backend_info
             eager_ref = eager().copy()
             bit_exact = bool(np.array_equal(eager_ref, engine(x).numpy()))
@@ -117,7 +104,7 @@ def run_bench_infer(
             eager_ms = _time_ms(eager, reps)
             # interleave the compiled paths so slow machine drift hits
             # all samples equally and cancels in the speedup ratios
-            compiled_ms, cgen_ms, cgen_mt_ms = [], [], []
+            compiled_ms, cgen_ms = [], []
             for _ in range(reps):
                 start = time.perf_counter()
                 engine(x)
@@ -125,10 +112,6 @@ def run_bench_infer(
                 start = time.perf_counter()
                 cgen_engine(x)
                 cgen_ms.append(1e3 * (time.perf_counter() - start))
-                if mt:
-                    start = time.perf_counter()
-                    cgen_mt_engine(x)
-                    cgen_mt_ms.append(1e3 * (time.perf_counter() - start))
 
             # parity must survive online adaptation rewriting the BN state
             adapter = LDBNAdapt(model, LDBNAdaptConfig(batch_size=1))
@@ -146,27 +129,6 @@ def run_bench_infer(
             compiled_p50 = latency_percentile(compiled_ms, 50)
             compiled_p95 = latency_percentile(compiled_ms, 95)
             cgen_p95 = latency_percentile(cgen_ms, 95)
-            mt_cols: Dict[str, object] = {}
-            if mt:
-                mt_info = cgen_mt_engine.plan_for(
-                    x.shape, x.dtype
-                ).backend_info
-                mt_p95 = latency_percentile(cgen_mt_ms, 95)
-                mt_cols = {
-                    "cgen_threads": mt_info["threads"],
-                    "cgen_mt_p50_ms": latency_percentile(cgen_mt_ms, 50),
-                    "cgen_mt_p95_ms": mt_p95,
-                    # single-thread cgen p95 over threaded p95 — the
-                    # thread-scaling headline (speedup keys are not
-                    # regression-gated)
-                    "cgen_mt_speedup_p95": cgen_p95 / mt_p95,
-                    "cgen_mt_stages": mt_info["mt_stages"],
-                    "cgen_mt_within_band": bool(np.allclose(
-                        cgen_mt_out, eager_ref,
-                        rtol=PARITY_RTOL.get(eager_ref.dtype.name, 1e-9),
-                        atol=PARITY_ATOL.get(eager_ref.dtype.name, 1e-12),
-                    )),
-                }
             rows.append(
                 {
                     "backbone": backbone,
@@ -187,7 +149,6 @@ def run_bench_infer(
                     "cgen_within_band": cgen_within_band,
                     "bit_exact": bit_exact,
                     "bit_exact_adapted": bit_exact_adapted,
-                    **mt_cols,
                 }
             )
     return rows

@@ -79,120 +79,6 @@ def _time_ms(fn, reps: int) -> List[float]:
     return samples
 
 
-def run_micro_threaded(
-    reps: int = 200, seed: int = 0, threads: int = 2
-) -> List[Dict[str, object]]:
-    """Single-thread vs ``threads``-wide cgen, per threaded kernel family.
-
-    Covers the three kernels the worker pool tiles: the identity-columns
-    conv GEMM, the fused-im2col 3x3 conv (gather folded into the GEMM —
-    no workspace materialization), and the rendered adaptation backward
-    (BN gamma/beta grads + reduced chain).  Samples are interleaved so
-    machine drift cancels in ``mt_speedup_p95``; the ``*_p95_ms`` keys
-    ride the regression gate, the speedup key does not (1-core CI hosts
-    cannot promise > 1x).
-    """
-    rng = np.random.default_rng(seed)
-    rows: List[Dict[str, object]] = []
-
-    fwd_cases = [
-        (
-            "conv1x1_gemm_mt",
-            nn.Conv2d(32, 64, 1, bias=False, rng=rng),
-            rng.standard_normal((2, 32, 16, 40)),
-        ),
-        (
-            "conv3x3_fused_im2col_mt",
-            nn.Conv2d(16, 32, 3, padding=1, bias=False, rng=rng),
-            rng.standard_normal((2, 16, 16, 40)),
-        ),
-    ]
-    for name, model, x in fwd_cases:
-        model.eval()
-        eng_st = compile_model(model, backend="cgen", threads=1)
-        eng_mt = compile_model(model, backend="cgen", threads=threads)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            y_st = eng_st(x).numpy().copy()
-            y_mt = eng_mt(x).numpy().copy()
-        info = eng_mt.plan_for(x.shape, x.dtype).backend_info
-        st_ms, mt_ms = [], []
-        for _ in range(reps):
-            start = time.perf_counter()
-            eng_st(x)
-            st_ms.append(1e3 * (time.perf_counter() - start))
-            start = time.perf_counter()
-            eng_mt(x)
-            mt_ms.append(1e3 * (time.perf_counter() - start))
-        st_p95 = latency_percentile(st_ms, 95)
-        mt_p95 = latency_percentile(mt_ms, 95)
-        rows.append(
-            {
-                "op": name,
-                "shape": "x".join(str(d) for d in x.shape),
-                "threads": info["threads"],
-                "reps": reps,
-                "cgen_st_p50_ms": latency_percentile(st_ms, 50),
-                "cgen_st_p95_ms": st_p95,
-                "cgen_mt_p50_ms": latency_percentile(mt_ms, 50),
-                "cgen_mt_p95_ms": mt_p95,
-                "mt_speedup_p95": st_p95 / mt_p95,
-                "mt_stages": info["mt_stages"],
-                "rendered": info["rendered"],
-                "fallback": info["rendered"] == 0,
-                "max_abs_diff": float(np.abs(y_mt - y_st).max()),
-            }
-        )
-
-    # rendered adaptation backward: BN gamma/beta grads + reduced chain
-    from ..engine.compile import CompiledAdaptStep
-
-    model = nn.Sequential(
-        nn.Conv2d(8, 16, 3, padding=1, bias=False, rng=rng),
-        nn.BatchNorm2d(16),
-        nn.ReLU(),
-    )
-    x = rng.standard_normal((4, 8, 16, 40)).astype(np.float32)
-    model.train()
-    step_st = CompiledAdaptStep(model, backend="cgen", threads=1)
-    step_mt = CompiledAdaptStep(model, backend="cgen", threads=threads)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        plan_st = step_st.plan_for(x)
-        plan_mt = step_mt.plan_for(x)
-        loss_st = float(np.asarray(plan_st.run(x)).ravel()[0])
-        loss_mt = float(np.asarray(plan_mt.run(x)).ravel()[0])
-    info = plan_mt.backend_info
-    st_ms, mt_ms = [], []
-    for _ in range(reps):
-        start = time.perf_counter()
-        plan_st.run(x)
-        st_ms.append(1e3 * (time.perf_counter() - start))
-        start = time.perf_counter()
-        plan_mt.run(x)
-        mt_ms.append(1e3 * (time.perf_counter() - start))
-    st_p95 = latency_percentile(st_ms, 95)
-    mt_p95 = latency_percentile(mt_ms, 95)
-    rows.append(
-        {
-            "op": "rendered_backward_mt",
-            "shape": "x".join(str(d) for d in x.shape),
-            "threads": info["threads"],
-            "reps": reps,
-            "cgen_st_p50_ms": latency_percentile(st_ms, 50),
-            "cgen_st_p95_ms": st_p95,
-            "cgen_mt_p50_ms": latency_percentile(mt_ms, 50),
-            "cgen_mt_p95_ms": mt_p95,
-            "mt_speedup_p95": st_p95 / mt_p95,
-            "mt_stages": info["mt_stages"],
-            "rendered": info["rendered"],
-            "fallback": info["rendered"] == 0,
-            "max_abs_diff": abs(loss_mt - loss_st),
-        }
-    )
-    return rows
-
-
 def run_micro_ops(reps: int = 200, seed: int = 0) -> List[Dict[str, object]]:
     """Time each micro kernel through the numpy and cgen backends."""
     rng = np.random.default_rng(seed)

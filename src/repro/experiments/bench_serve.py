@@ -254,70 +254,6 @@ def run_bench_serve(
     return rows
 
 
-#: display order of the thread-pricing table
-THREAD_PRICING_COLUMNS = (
-    "policy", "frames", "miss_rate", "adapt_steps", "steps_per_tick",
-    "adapting_streams", "grant_rate", "slack_p10_ms", "fleet_fps",
-)
-
-
-def run_bench_thread_pricing(
-    scale: Optional[RunScale] = None,
-    num_streams: int = 4,
-    num_ticks: int = 24,
-    threads: int = 2,
-    backend: str = "numpy",
-) -> List[Dict[str, object]]:
-    """Thread-aware roofline re-pricing: does honesty buy adaptation?
-
-    Serves the same jittered slack-admission fleet twice on one
-    simulated Orin: once priced single-thread (``FleetConfig.threads``
-    unset) and once with the ``threads``-wide kernel pool re-pricing the
-    roofline's compute term (:func:`repro.hw.deadline.parallel_speedup`).
-    The admission controller budgets steps from modeled slack, so a
-    device the model *knows* is faster can grant strictly more
-    adaptation at the same deadline-miss budget — that claim
-    (:func:`check_thread_pricing`) is the gate.  Everything is simulated
-    and seeded, so the rows are exactly reproducible.
-    """
-    scale = scale if scale is not None else get_run_scale()
-    benchmark, model = _prepare(scale)
-    pristine = model.state_dict()
-    arrival = dict(
-        jitter_ms=JITTER_MS,
-        phase_spread_ms=PHASE_SPREAD_MS,
-        drop_rate=DROP_RATE,
-    )
-    rows: List[Dict[str, object]] = []
-    for label, nt in (("threads-1", None), (f"threads-{threads}", threads)):
-        log.info("bench-serve: thread-pricing fleet (%s)", label)
-        report = _run_fleet(
-            model, pristine, benchmark, scale, num_streams, num_ticks,
-            admission=AdmissionConfig(), threads=nt, backend=backend,
-            **arrival,
-        )
-        rows.append(_policy_row(label, report, num_ticks))
-    return rows
-
-
-def check_thread_pricing(rows: List[Dict[str, object]]) -> None:
-    """Assert the re-pricing claim over one thread-pricing row pair.
-
-    The threaded-priced fleet must grant strictly more adaptation steps
-    than the single-thread-priced one without buying them with missed
-    deadlines (miss rate within tolerance of the single-thread fleet's).
-    """
-    single = next(r for r in rows if r["policy"] == "threads-1")
-    threaded = next(r for r in rows if r["policy"] != "threads-1")
-    assert threaded["adapt_steps"] > single["adapt_steps"], (
-        "thread-aware pricing should admit strictly more adaptation "
-        f"steps: {rows}"
-    )
-    assert (
-        threaded["miss_rate"] <= single["miss_rate"] + MISS_RATE_TOLERANCE
-    ), f"threaded pricing bought steps with deadline misses: {rows}"
-
-
 #: traced serving may cost at most this fraction over untraced, on both
 #: the simulated p95 (must in fact be identical — the clock never sees
 #: the tracer) and the measured host wall time of the whole run

@@ -136,7 +136,6 @@ def _print_fleet(scale, args, backend=None, force_trace: bool = False) -> None:
         admission=args.admission,
         devices=args.devices,
         placement=args.placement,
-        threads=args.threads,
         pool=args.pool,
         migrate=args.migrate,
         faults=args.faults,
@@ -225,7 +224,7 @@ def _default_results_dir() -> str:
 
 
 def _run_bench_infer(
-    scale, quick: bool, results_dir: str, backend=None, threads=None
+    scale, quick: bool, results_dir: str, backend=None
 ) -> int:
     """Measure eager vs compiled inference, archive it, gate on p95."""
     rows = run_bench_infer(
@@ -237,17 +236,12 @@ def _run_bench_infer(
         reps=40,
         adapt_steps=1 if quick else 2,
         backend=backend if backend is not None else "numpy",
-        threads=threads,
     )
     columns = [
         "backbone", "batch", "eager_p50_ms", "compiled_p50_ms",
         "compiled_p95_ms", "speedup_p50", "cgen_speedup_p95",
         "bit_exact", "bit_exact_adapted", "cgen_within_band",
     ]
-    if threads is not None and threads > 1:
-        columns += [
-            "cgen_mt_p95_ms", "cgen_mt_speedup_p95", "cgen_mt_within_band",
-        ]
     print("BENCH-INFER — eager vs compiled inference latency (ms)")
     print(format_table(rows, columns=columns, floatfmt=".3f"))
     if backend in (None, "numpy"):
@@ -264,14 +258,8 @@ def _run_bench_infer(
             "NOTICE: cgen comparison SKIPPED — no C compiler, plans fell "
             "back to numpy closures"
         )
-    if threads is not None and not all(
-        r.get("cgen_mt_within_band", True) for r in rows
-    ):
-        print("PARITY FAILURE: threaded cgen output left the parity band")
-        return 1
-    if backend in (None, "numpy") and threads is None:
-        # non-default backends (and threaded rows, whose schema differs)
-        # would diff against the numpy baseline
+    if backend in (None, "numpy"):
+        # non-default backends would diff against the numpy baseline
         save_json(os.path.join(results_dir, "infer_engine.json"), rows)
     return _gate(results_dir, quick)
 
@@ -610,15 +598,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "adaptation (numpy, cgen; default: REPRO_BACKEND or numpy)",
     )
     parser.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="cgen only: kernel worker-pool width for compiled plans; "
-        "also re-prices the roofline latency model so scheduling and "
-        "admission see the threaded device (default: single-thread "
-        "pricing; plan compilation defers to REPRO_CGEN_THREADS)",
-    )
-    parser.add_argument(
         "--parity",
         choices=("band", "strict"),
         default="band",
@@ -647,9 +626,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if backend == "cgen" and args.parity == "strict":
         backend = "cgen-strict"
 
-    if args.threads is not None and args.threads < 1:
-        parser.error(f"--threads must be >= 1, got {args.threads}")
-
     if args.artifact == "fleet":
         _print_fleet(scale, args, backend)
         return 0
@@ -657,10 +633,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         _print_fleet(scale, args, backend, force_trace=True)
         return 0
     if args.artifact == "bench-infer":
-        return _run_bench_infer(
-            scale, args.quick, args.results_dir, backend,
-            threads=args.threads,
-        )
+        return _run_bench_infer(scale, args.quick, args.results_dir, backend)
     if args.artifact == "bench-adapt":
         return _run_bench_adapt(scale, args.quick, args.results_dir, backend)
     if args.artifact == "bench-serve":

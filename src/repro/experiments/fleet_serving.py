@@ -155,7 +155,6 @@ def run_fleet(
     checkpoint_mode: str = "sync",
     tracer: Optional[SpanTracer] = None,
     backend: str = "numpy",
-    threads: Optional[int] = None,
 ) -> FleetRunResult:
     """Train a source model and serve a heterogeneous fleet from it.
 
@@ -176,9 +175,7 @@ def run_fleet(
     ``tracer`` collects per-frame spans and fleet events for the Chrome
     trace export and the telemetry dashboard; serving results are
     bitwise identical with or without it.  ``backend`` selects the plan
-    backend the pool serves and adapts with (numpy / cgen / cgen-strict);
-    ``threads`` widens the codegen kernel pool AND re-prices the roofline
-    model (scheduler/admission see the faster device honestly).
+    backend the pool serves and adapts with (numpy / cgen / cgen-strict).
     """
     if num_streams < 1:
         raise ValueError(f"num_streams must be >= 1, got {num_streams}")
@@ -232,7 +229,6 @@ def run_fleet(
             checkpoint=checkpoint,
             faults=faults,
             backend=backend,
-            threads=threads,
         ),
         device=device,
         spec=spec,

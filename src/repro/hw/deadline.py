@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Tuple
 
-from .device import DeviceProfile
 
 DEADLINE_30FPS_MS = 1000.0 / 30.0  # 33.33 ms
 DEADLINE_18FPS_MS = 1000.0 / 18.0  # 55.56 ms
@@ -22,26 +21,6 @@ NAMED_DEADLINES: Dict[str, float] = {
     "30fps": DEADLINE_30FPS_MS,
     "18fps_audi_a8": DEADLINE_18FPS_MS,
 }
-
-
-def parallel_speedup(device: DeviceProfile, threads: int) -> float:
-    """Amdahl speedup of a ``threads``-wide kernel pool on ``device``.
-
-    ``1 / ((1 - p) + p / t)`` with ``p = device.thread_efficiency`` and
-    ``t`` clamped to ``[1, device.cpu_cores]`` — asking for more threads
-    than the power mode's gated CPU cluster has buys nothing, and the
-    serial fraction (stage dispatch, barriers, epilogues) caps the gain.
-    This is the factor the roofline model divides *compute* time by when
-    pricing a threaded-backend device; memory time is shared-bus bound
-    and does not scale.
-    """
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-    t = float(min(threads, max(1, device.cpu_cores)))
-    p = device.thread_efficiency
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"thread_efficiency must be in [0, 1], got {p}")
-    return 1.0 / ((1.0 - p) + p / t)
 
 
 def meets_deadline(latency_ms: float, deadline_ms: float) -> bool:

@@ -45,16 +45,6 @@ class DeviceProfile:
         effective GEMMs in weight-gradient computation, more traffic).
     kernel_overhead_s:
         Fixed launch/framework overhead per layer invocation.
-    cpu_cores:
-        CPU cores available to the threaded kernel backend at this power
-        mode (nvpmodel gates the Carmel/A78AE cluster per mode: 12 cores
-        at 60/50 W, 8 at 30 W, 4 at 15 W).  The cgen backend sizes its
-        worker pool from this when no explicit thread count is given.
-    thread_efficiency:
-        Parallelizable fraction of a kernel pass for Amdahl pricing
-        (:func:`repro.hw.deadline.parallel_speedup`).  ~0.85 calibrated
-        against the threaded cgen GEMM kernels: tile dispatch, the
-        barrier per stage and the serial epilogues bound the speedup.
     """
 
     name: str
@@ -64,8 +54,6 @@ class DeviceProfile:
     efficiency_infer: float = 0.70
     efficiency_train: float = 0.60
     kernel_overhead_s: float = 20e-6
-    cpu_cores: int = 12
-    thread_efficiency: float = 0.85
 
     @property
     def effective_flops_infer(self) -> float:
@@ -81,13 +69,8 @@ class DeviceProfile:
         bw_factor: float,
         name: str,
         power_w: float,
-        cpu_cores: int = None,
     ) -> "DeviceProfile":
-        """Derive a throttled profile from this one.
-
-        ``cpu_cores`` overrides the core count (power modes gate CPU
-        clusters, not just clocks); ``None`` inherits.
-        """
+        """Derive a throttled profile from this one."""
         return DeviceProfile(
             name=name,
             power_w=power_w,
@@ -96,8 +79,6 @@ class DeviceProfile:
             efficiency_infer=self.efficiency_infer,
             efficiency_train=self.efficiency_train,
             kernel_overhead_s=self.kernel_overhead_s,
-            cpu_cores=self.cpu_cores if cpu_cores is None else cpu_cores,
-            thread_efficiency=self.thread_efficiency,
         )
 
 
@@ -114,8 +95,8 @@ _ORIN_MAXN = DeviceProfile(
 ORIN_POWER_MODES: Dict[str, DeviceProfile] = {
     "orin-60w": _ORIN_MAXN,
     "orin-50w": _ORIN_MAXN.scaled(0.75, 1.00, "orin-50w", 50.0),
-    "orin-30w": _ORIN_MAXN.scaled(0.42, 0.66, "orin-30w", 30.0, cpu_cores=8),
-    "orin-15w": _ORIN_MAXN.scaled(0.22, 0.50, "orin-15w", 15.0, cpu_cores=4),
+    "orin-30w": _ORIN_MAXN.scaled(0.42, 0.66, "orin-30w", 30.0),
+    "orin-15w": _ORIN_MAXN.scaled(0.22, 0.50, "orin-15w", 15.0),
 }
 
 # Fig. 3's x-axis order (lowest to highest power)

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from ..models.spec import ModelSpec
-from .deadline import parallel_speedup
 from .device import DeviceProfile
 
 # backward ≈ 2x forward compute for GEMM layers (dX and dW products)
@@ -64,25 +63,14 @@ def _pass_time(
     compute_factor: float,
     bytes_factor: float,
     efficiency: float,
-    threads: int = 1,
 ) -> float:
-    """Roofline time (seconds) of one pass over the network.
-
-    ``threads`` is the kernel-pool width of the serving backend: only
-    the *compute* term is divided by the Amdahl speedup
-    (:func:`~repro.hw.deadline.parallel_speedup`) — DRAM traffic rides a
-    shared bus and does not scale, so memory-bound layers keep their
-    cost and the model re-prices exactly what threading accelerates.
-    ``threads=1`` is an exact no-op, keeping every archived single-
-    thread latency stable.
-    """
+    """Roofline time (seconds) of one pass over the network."""
     total = 0.0
     eff_flops = device.peak_flops * efficiency
-    speedup = parallel_speedup(device, threads) if threads > 1 else 1.0
     for layer in spec.layers:
         flops = layer.flops * batch_size * compute_factor
         data = layer.bytes_moved * batch_size * bytes_factor
-        compute_t = flops / eff_flops / speedup
+        compute_t = flops / eff_flops
         memory_t = data / device.mem_bandwidth
         total += max(compute_t, memory_t) + device.kernel_overhead_s
     return total
@@ -90,16 +78,15 @@ def _pass_time(
 
 def forward_latency(
     spec: ModelSpec, device: DeviceProfile, batch_size: int = 1,
-    training: bool = False, threads: int = 1,
+    training: bool = False,
 ) -> float:
     """Forward-pass latency in seconds."""
     eff = device.efficiency_train if training else device.efficiency_infer
-    return _pass_time(spec, device, batch_size, 1.0, 1.0, eff, threads=threads)
+    return _pass_time(spec, device, batch_size, 1.0, 1.0, eff)
 
 
 def backward_latency(
     spec: ModelSpec, device: DeviceProfile, batch_size: int = 1,
-    threads: int = 1,
 ) -> float:
     """Backward-pass latency in seconds."""
     return _pass_time(
@@ -109,19 +96,13 @@ def backward_latency(
         BACKWARD_COMPUTE_FACTOR,
         BACKWARD_BYTES_FACTOR,
         device.efficiency_train,
-        threads=threads,
     )
 
 
 def update_latency(
     spec: ModelSpec, device: DeviceProfile, params_updated: int,
-    threads: int = 1,
 ) -> float:
-    """Optimizer-update latency (seconds) — reads grad, writes param.
-
-    Pure DRAM traffic; ``threads`` is accepted for interface symmetry
-    but memory time does not scale with the kernel-pool width.
-    """
+    """Optimizer-update latency (seconds) — reads grad, writes param."""
     bytes_touched = 3 * 4 * params_updated  # param + grad + momentum, fp32
     return bytes_touched / device.mem_bandwidth + device.kernel_overhead_s
 
@@ -130,7 +111,6 @@ def ld_bn_adapt_latency(
     spec: ModelSpec,
     device: DeviceProfile,
     batch_size: int = 1,
-    threads: int = 1,
 ) -> LatencyBreakdown:
     """Per-frame latency of inference followed by one LD-BN-ADAPT step.
 
@@ -141,19 +121,16 @@ def ld_bn_adapt_latency(
     """
     bn_params = spec.bn_params
     return LatencyBreakdown(
-        inference_ms=1e3 * forward_latency(
-            spec, device, 1, training=False, threads=threads),
+        inference_ms=1e3 * forward_latency(spec, device, 1, training=False),
         adapt_forward_ms=1e3 * forward_latency(
-            spec, device, batch_size, training=True, threads=threads),
-        adapt_backward_ms=1e3 * backward_latency(
-            spec, device, batch_size, threads=threads),
+            spec, device, batch_size, training=True),
+        adapt_backward_ms=1e3 * backward_latency(spec, device, batch_size),
         update_ms=1e3 * update_latency(spec, device, bn_params),
     )
 
 
 def batched_inference_latency_ms(
     spec: ModelSpec, device: DeviceProfile, batch_size: int,
-    threads: int = 1,
 ) -> float:
     """Latency (ms) of one eval-mode forward over a ``batch_size`` batch.
 
@@ -165,9 +142,7 @@ def batched_inference_latency_ms(
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    return 1e3 * forward_latency(
-        spec, device, batch_size, training=False, threads=threads
-    )
+    return 1e3 * forward_latency(spec, device, batch_size, training=False)
 
 
 def batching_speedup(

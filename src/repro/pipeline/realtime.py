@@ -35,7 +35,6 @@ from .. import nn
 from ..adapt.base import Adapter
 from ..engine import compile_model
 from ..engine.backends import available_backends
-from ..engine.backends.threading import resolve_threads
 from ..data.dataset import FrameStream, LaneSample
 from ..hw.deadline import DEADLINE_30FPS_MS
 from ..hw.device import DeviceProfile
@@ -57,13 +56,10 @@ class PipelineConfig:
     accuracy_threshold_cells: float = TUSIMPLE_THRESHOLD_CELLS
     rolling_window: int = 30
     backend: str = "numpy"  # plan backend for the compiled forward
-    threads: Optional[int] = None  # kernel-pool width (codegen backends)
 
     def __post_init__(self):
         if self.latency_model not in ("orin", "wallclock"):
             raise ValueError(f"unknown latency model {self.latency_model!r}")
-        if self.threads is not None and self.threads < 1:
-            raise ValueError(f"threads must be >= 1, got {self.threads}")
         if self.backend not in available_backends():
             raise ValueError(
                 f"unknown plan backend {self.backend!r}; expected one of "
@@ -96,16 +92,6 @@ class RealTimePipeline:
         self.model = model
         self.adapter = adapter
         self.config = config if config is not None else PipelineConfig()
-        # explicit threads both compiles threaded plans and re-prices the
-        # roofline model; None keeps single-thread everywhere (stable)
-        cfg_threads = self.config.threads
-        self.threads: Optional[int] = (
-            resolve_threads(
-                cfg_threads, device_cores=getattr(device, "cpu_cores", None)
-            )
-            if cfg_threads is not None
-            else None
-        )
         if self.config.latency_model == "orin":
             if device is None or spec is None:
                 raise ValueError(
@@ -113,9 +99,7 @@ class RealTimePipeline:
                     "paper-size ModelSpec (the platform under study)"
                 )
             batch = getattr(getattr(adapter, "config", None), "batch_size", 1)
-            breakdown = ld_bn_adapt_latency(
-                spec, device, batch, threads=self.threads or 1
-            )
+            breakdown = ld_bn_adapt_latency(spec, device, batch)
             # inference happens every frame; the adaptation step is paid on
             # the frames where a step actually runs
             self._infer_ms = breakdown.inference_ms
@@ -132,8 +116,7 @@ class RealTimePipeline:
         if nn.compiled_inference_enabled():
             if self._compiled is None:
                 self._compiled = compile_model(
-                    self.model, backend=self.config.backend,
-                    threads=self.threads,
+                    self.model, backend=self.config.backend
                 )
             self.model.eval()
             self._compiled.warm(frame.image[None])
@@ -146,8 +129,7 @@ class RealTimePipeline:
         if nn.compiled_inference_enabled():
             if self._compiled is None:
                 self._compiled = compile_model(
-                    self.model, backend=self.config.backend,
-                    threads=self.threads,
+                    self.model, backend=self.config.backend
                 )
             logits = self._compiled(batch)
         else:

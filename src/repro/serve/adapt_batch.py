@@ -86,10 +86,9 @@ class StagedGroupStep:
 class FleetAdaptationBatcher:
     """Plans and runs fused same-phase adaptation steps for one model."""
 
-    def __init__(self, model, backend=None, threads=None):
+    def __init__(self, model, backend=None):
         self.model = model
-        self._compiled = CompiledAdaptStep(model, backend=backend,
-                                           threads=threads)
+        self._compiled = CompiledAdaptStep(model, backend=backend)
         self._unsupported = False
         self._fused_proven = False  # a grouped stage has succeeded
         self._module_index: Optional[Dict[int, int]] = None

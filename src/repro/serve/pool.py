@@ -46,7 +46,6 @@ import numpy as np
 
 from .. import nn
 from ..engine import compile_model
-from ..engine.backends.threading import resolve_threads
 from ..hw.deadline import (
     adaptation_budget_ms,
     deadline_slack_ms,
@@ -393,25 +392,12 @@ class DeviceWorker:
         self.alive = True
         self.crashed_ms: Optional[float] = None
         self.joined_ms = 0.0
-        # kernel-pool width: only an explicit FleetConfig.threads threads
-        # the compiled plans AND the roofline pricing — None keeps both
-        # at single-thread, bitwise-stable with pre-threading runs
-        cfg_threads = getattr(config, "threads", None)
-        self.threads: Optional[int] = (
-            resolve_threads(
-                cfg_threads,
-                device_cores=getattr(device, "cpu_cores", None),
-            )
-            if cfg_threads is not None
-            else None
-        )
-        nt = self.threads or 1
         if config.latency_model == "orin":
             self.latency_fn = lambda b: self.slowdown * (  # noqa: E731
-                batched_inference_latency_ms(spec, device, b, threads=nt)
+                batched_inference_latency_ms(spec, device, b)
             )
             self.adapt_cost_fn = lambda n: self.slowdown * (  # noqa: E731
-                ld_bn_adapt_latency(spec, device, n, threads=nt).adaptation_ms
+                ld_bn_adapt_latency(spec, device, n).adaptation_ms
             )
         else:
             # wallclock mode measures instead of planning; batch greedily
@@ -429,9 +415,7 @@ class DeviceWorker:
         )
         self._compiled = None  # built lazily; plans cached per batch size
         self._adapt_batcher = FleetAdaptationBatcher(
-            model,
-            backend=getattr(config, "backend", None),
-            threads=self.threads,
+            model, backend=getattr(config, "backend", None)
         )
         self._slack_alpha = slack_alpha
         self.slack_ewma_ms: Optional[float] = None
@@ -750,9 +734,7 @@ class DeviceWorker:
         if nn.compiled_inference_enabled():
             if self._compiled is None:
                 self._compiled = compile_model(
-                    self.model,
-                    backend=getattr(config, "backend", None),
-                    threads=self.threads,
+                    self.model, backend=getattr(config, "backend", None)
                 )
             # one-time trace per batch size, outside the timed region
             self._compiled.warm(images)

@@ -114,11 +114,6 @@ class FleetConfig:
     placement: str = "least_loaded"  # | "round_robin" | "pinned"
     migration: Optional[MigrationConfig] = None  # None → sessions never move
     backend: str = "numpy"  # plan backend for compiled serving/adaptation
-    # kernel-pool width for codegen backends.  None keeps single-thread
-    # pricing AND compilation (bitwise-stable with pre-threading runs);
-    # setting it threads both the compiled plans and the roofline model,
-    # so scheduler/admission/migration see the faster device honestly.
-    threads: Optional[int] = None
     checkpoint: Optional[CheckpointConfig] = None  # None → no session store
     faults: Optional[FaultSchedule] = None  # None → nothing ever fails
     drift: Optional[DriftResetConfig] = None  # None → no drift detection
@@ -140,8 +135,6 @@ class FleetConfig:
             raise ValueError(f"max_batch_size must be >= 1, got {self.max_batch_size}")
         if self.adapt_stride < 1:
             raise ValueError(f"adapt_stride must be >= 1, got {self.adapt_stride}")
-        if self.threads is not None and self.threads < 1:
-            raise ValueError(f"threads must be >= 1, got {self.threads}")
         if self.ingest not in ("async", "sync"):
             raise ValueError(f"unknown ingest mode {self.ingest!r}")
         if self.jitter_ms < 0:

@@ -13,8 +13,6 @@ looking for a compiler), profile labeling, and the config-level backend
 validation in the serving and pipeline layers.
 """
 
-import ctypes
-import gc
 import os
 import subprocess
 import sys
@@ -31,16 +29,12 @@ from repro.engine.backends import (
     PARITY_ATOL,
     PARITY_RTOL,
     CGenBackend,
-    CGenConfig,
     NumpyBackend,
     available_backends,
     find_cc,
     get_backend,
     resolve_backend,
-    resolve_threads,
-    tile_bounds,
 )
-from repro.engine.backends.threading import ENV_THREADS, MAX_THREADS
 from repro.pipeline.realtime import PipelineConfig
 from repro.serve.server import FleetConfig
 
@@ -91,6 +85,10 @@ class TestRegistry:
     def test_strict_registration_sets_parity(self):
         assert get_backend("cgen-strict").parity == "strict"
         assert get_backend("cgen").parity == "band"
+
+    def test_unknown_parity_rejected(self):
+        with pytest.raises(ValueError, match="parity"):
+            CGenBackend(parity="fast")
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +161,14 @@ class TestParitySweep:
         strict = compile_model(model, backend="cgen-strict")(x).numpy()
         np.testing.assert_allclose(band, oracle, **_band(oracle.dtype))
         assert np.array_equal(strict, oracle)
+
+    def test_run_is_deterministic(self, rng):
+        model = _bn_model(rng)
+        engine = compile_model(model, backend="cgen")
+        x = rng.standard_normal((2, 3, 8, 12)).astype(np.float32)
+        first = engine(x).numpy().copy()
+        for _ in range(3):
+            assert np.array_equal(engine(x).numpy(), first)
 
 
 # ---------------------------------------------------------------------------
@@ -353,96 +359,23 @@ class TestConfigValidation:
     def test_pipeline_config_accepts_registered_backends(self):
         assert PipelineConfig(backend="cgen-strict").backend == "cgen-strict"
 
-    def test_thread_counts_validated_when_set(self):
-        with pytest.raises(ValueError, match="threads"):
-            FleetConfig(threads=0)
-        with pytest.raises(ValueError, match="threads"):
-            PipelineConfig(threads=0)
-        with pytest.raises(ValueError, match="threads"):
-            LDBNAdaptConfig(threads=0)
-        assert FleetConfig(threads=2).threads == 2
-        assert PipelineConfig().threads is None  # default: single-thread
-
 
 # ---------------------------------------------------------------------------
-# worker-pool plumbing: resolution chain, tile ownership, config
-
-
-class TestThreadingUnits:
-    def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv(ENV_THREADS, "4")
-        assert resolve_threads(2) == 2
-
-    def test_env_beats_device_and_host(self, monkeypatch):
-        monkeypatch.setenv(ENV_THREADS, "3")
-        assert resolve_threads(None, device_cores=8) == 3
-
-    def test_device_cores_beat_host_count(self, monkeypatch):
-        monkeypatch.delenv(ENV_THREADS, raising=False)
-        assert resolve_threads(None, device_cores=6) == 6
-
-    def test_host_fallback_is_positive(self, monkeypatch):
-        monkeypatch.delenv(ENV_THREADS, raising=False)
-        assert resolve_threads() >= 1
-
-    def test_clamped_to_sane_range(self, monkeypatch):
-        monkeypatch.delenv(ENV_THREADS, raising=False)
-        assert resolve_threads(10_000) == MAX_THREADS
-        assert resolve_threads(0) == 1
-        assert resolve_threads(-3) == 1
-
-    def test_garbage_env_raises(self, monkeypatch):
-        monkeypatch.setenv(ENV_THREADS, "many")
-        with pytest.raises(ValueError, match=ENV_THREADS):
-            resolve_threads()
-
-    @given(
-        total=st.integers(0, 200),
-        nt=st.integers(1, 16),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_tile_bounds_partition_exactly(self, total, nt):
-        """Tiles are contiguous, non-overlapping, and exhaustive — the
-        property the deterministic-reduction rule rests on."""
-        cursor = 0
-        for tid in range(nt):
-            lo, hi = tile_bounds(total, tid, nt)
-            assert lo == cursor and lo <= hi
-            cursor = hi
-        assert cursor == total
-
-    def test_more_threads_than_rows_leaves_empty_tiles(self):
-        spans = [tile_bounds(2, t, 8) for t in range(8)]
-        assert sum(hi - lo for lo, hi in spans) == 2
-        assert sum(1 for lo, hi in spans if hi > lo) == 2
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError, match="parity"):
-            CGenConfig(parity="fast")
-        with pytest.raises(ValueError, match="threads"):
-            CGenConfig(threads=0)
-        assert CGenConfig().threads is None
-
-    def test_backend_exposes_its_config(self):
-        backend = CGenBackend(parity="strict", threads=3)
-        assert backend.config == CGenConfig(parity="strict", threads=3)
-        assert backend.threads == 3 and backend.name == "cgen-strict"
-
-
-# ---------------------------------------------------------------------------
-# threaded parity: random stacks and thread counts vs the numpy oracle
+# odd output geometries: pixel counts that are no multiple of any vector
+# width, single-row outputs
 
 
 @needs_cc
 class TestThreadedParity:
+    """Every cgen plan runs single-threaded; the class keeps its name
+    for the odd-geometry parity check it has always held."""
+
     @given(data=st.data())
     @settings(max_examples=6, deadline=None)
     def test_band_and_strict_at_random_widths(self, data):
-        """Odd spatial shapes (P not divisible by the tile count,
-        single-row outputs) across pool widths 2..6: band stays in the
-        float band, strict stays bitwise."""
+        """Odd spatial shapes (random frame widths, single-row outputs):
+        band stays in the float band, strict stays bitwise."""
         rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
-        nt = data.draw(st.integers(2, 6))
         in_ch = data.draw(st.sampled_from([1, 3]))
         h = data.draw(st.sampled_from([1, 5, 9]))
         w = data.draw(st.sampled_from([3, 7, 13]))
@@ -455,143 +388,49 @@ class TestThreadedParity:
         except ValueError:
             # stacked max-pools collapsed the tiny spatial extent to 0
             assume(False)
-        band = compile_model(
-            model, backend=CGenBackend(threads=nt)
-        )(x).numpy()
-        strict = compile_model(
-            model, backend=CGenBackend(parity="strict", threads=nt)
-        )(x).numpy()
+        band = compile_model(model, backend="cgen")(x).numpy()
+        strict = compile_model(model, backend="cgen-strict")(x).numpy()
 
         np.testing.assert_allclose(band, oracle, **_band(oracle.dtype))
         assert np.array_equal(strict, oracle), (
-            f"cgen-strict must stay bitwise at {nt} threads"
+            f"cgen-strict must stay bitwise at {h}x{w}"
         )
 
-    def test_strict_is_invariant_across_thread_counts(self, rng):
-        """Fixed tile ownership, no shared accumulators: the strict
-        kernels return the same bits at every pool width."""
-        model = _bn_model(rng)
-        x = rng.standard_normal((2, 3, 9, 13)).astype(np.float32)
-        outs = [
-            compile_model(
-                model, backend=CGenBackend(parity="strict", threads=nt)
-            )(x).numpy()
-            for nt in (1, 2, 5)
-        ]
-        assert np.array_equal(outs[0], outs[1])
-        assert np.array_equal(outs[0], outs[2])
-
-    def test_threaded_run_is_deterministic(self, rng):
-        model = _bn_model(rng)
-        engine = compile_model(model, backend=CGenBackend(threads=3))
-        x = rng.standard_normal((2, 3, 8, 12)).astype(np.float32)
-        first = engine(x).numpy().copy()
-        for _ in range(3):
-            assert np.array_equal(engine(x).numpy(), first)
-
-    def test_backend_info_reports_pool(self, rng):
-        model = _bn_model(rng)
-        engine = compile_model(model, backend=CGenBackend(threads=2))
-        x = rng.standard_normal((2, 3, 16, 40)).astype(np.float32)
-        engine(x)
-        info = engine.plan_for(x.shape, x.dtype).backend_info
-        assert info["threads"] == 2 and info["pool_width"] == 2
-        assert info["mt_stages"] >= 0  # small stages may all run inline
-
 
 # ---------------------------------------------------------------------------
-# pool lifecycle: shared refcount, teardown on plan drop
-
-
-def _pool_refs(so_path):
-    probe = ctypes.CDLL(so_path)  # same dlopen handle: globals shared
-    fn = probe.repro_pool_refs
-    fn.restype = ctypes.c_longlong
-    return int(fn())
+# cache: parity-variant keying + corrupted-artifact recovery
 
 
 @needs_cc
-class TestPoolLifecycle:
-    def test_shared_so_shares_one_pool(self, rng, monkeypatch, tmp_path):
-        """Two plans loading the same cached .so take references on ONE
-        pool; the workers are joined when the last plan dies."""
+class TestPlanVariantCache:
+    def test_parity_keys_distinct_artifacts(self, rng, monkeypatch, tmp_path):
+        """Band and strict plans compile to distinct .so files even when
+        they render the same source (max-pool and ReLU kernels are
+        parity-independent) — a band plan can never load a strict
+        artifact or back."""
         _fresh_cache(monkeypatch, tmp_path)
-        model = _bn_model(rng)
-        x = rng.standard_normal((1, 3, 8, 12)).astype(np.float32)
-
-        eng_a = compile_model(model, backend=CGenBackend(threads=2))
-        eng_a(x)
-        info_a = eng_a.plan_for(x.shape, x.dtype).backend_info
-        assert info_a["rendered"] > 0
-        so = info_a["so"]
-        assert _pool_refs(so) == 1
-
-        eng_b = compile_model(model, backend=CGenBackend(threads=2))
-        eng_b(x)
-        info_b = eng_b.plan_for(x.shape, x.dtype).backend_info
-        assert info_b["so"] == so and info_b["cache_hit"] is True
-        assert _pool_refs(so) == 2
-
-        del eng_b
-        gc.collect()
-        assert _pool_refs(so) == 1
-
-        out = eng_a(x).numpy()  # survivor still runs after sibling died
-        assert np.all(np.isfinite(out))
-        del eng_a
-        gc.collect()
-        assert _pool_refs(so) == 0
-
-    def test_single_thread_plan_holds_reference_without_workers(
-        self, rng, monkeypatch, tmp_path
-    ):
-        _fresh_cache(monkeypatch, tmp_path)
-        model = _bn_model(rng)
-        x = rng.standard_normal((1, 3, 8, 12)).astype(np.float32)
-        engine = compile_model(model, backend=CGenBackend(threads=1))
-        engine(x)
-        info = engine.plan_for(x.shape, x.dtype).backend_info
-        assert info["pool_width"] == 1
-        assert _pool_refs(info["so"]) == 1
-        so = info["so"]
-        del engine
-        gc.collect()
-        assert _pool_refs(so) == 0
-
-
-# ---------------------------------------------------------------------------
-# cache: thread-variant keying + corrupted-artifact recovery
-
-
-@needs_cc
-class TestThreadVariantCache:
-    def test_thread_counts_key_distinct_artifacts(
-        self, rng, monkeypatch, tmp_path
-    ):
-        """POOL_NT is baked into the TU, so each width must compile to
-        its own .so — a 1-thread plan can never load a 4-thread pool."""
-        _fresh_cache(monkeypatch, tmp_path)
-        model = _bn_model(rng)
+        model = nn.Sequential(nn.MaxPool2d(2), nn.ReLU())
+        model.eval()
         x = rng.standard_normal((1, 3, 8, 12)).astype(np.float32)
         paths = {}
-        for nt in (1, 2):
-            engine = compile_model(model, backend=CGenBackend(threads=nt))
+        for parity in ("band", "strict"):
+            engine = compile_model(model, backend=CGenBackend(parity=parity))
             engine(x)
             info = engine.plan_for(x.shape, x.dtype).backend_info
             assert info["rendered"] > 0
-            paths[nt] = info["so"]
-        assert paths[1] != paths[2]
+            paths[parity] = info["so"]
+        assert paths["band"] != paths["strict"]
 
-    def test_same_width_hits_cache(self, rng, monkeypatch, tmp_path):
+    def test_same_config_hits_cache(self, rng, monkeypatch, tmp_path):
         _fresh_cache(monkeypatch, tmp_path)
         model = _bn_model(rng)
         x = rng.standard_normal((1, 3, 8, 12)).astype(np.float32)
-        first = compile_model(model, backend=CGenBackend(threads=2))
+        first = compile_model(model, backend=CGenBackend())
         first(x)
         assert first.plan_for(x.shape, x.dtype).backend_info[
             "cache_hit"
         ] is False
-        second = compile_model(model, backend=CGenBackend(threads=2))
+        second = compile_model(model, backend=CGenBackend())
         second(x)
         info = second.plan_for(x.shape, x.dtype).backend_info
         assert info["cache_hit"] is True
@@ -616,7 +455,7 @@ model = nn.Sequential(
 )
 model.eval()
 x = rng.standard_normal((1, 3, 8, 12)).astype(np.float32)
-engine = compile_model(model, backend=CGenBackend(threads=2))
+engine = compile_model(model, backend=CGenBackend())
 engine(x)
 info = engine.plan_for(x.shape, x.dtype).backend_info
 assert info["rendered"] > 0 and info["cache_hit"] is False, info
@@ -655,7 +494,7 @@ print(info["so"])
         model = _bn_model(seed)
         x = seed.standard_normal((1, 3, 8, 12)).astype(np.float32)
         oracle = compile_model(model)(x).numpy()
-        engine = compile_model(model, backend=CGenBackend(threads=2))
+        engine = compile_model(model, backend=CGenBackend())
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # recovery must not warn
             out = engine(x).numpy()
@@ -680,7 +519,7 @@ class TestFusedIm2colWorkspace:
         np_ws = eng_np.plan_for(x.shape, x.dtype).stats.workspace_bytes
         assert np_ws > 0  # the numpy lowering materializes im2col
 
-        eng_c = compile_model(model, backend=CGenBackend(threads=2))
+        eng_c = compile_model(model, backend=CGenBackend())
         eng_c(x)
         plan = eng_c.plan_for(x.shape, x.dtype)
         freed = plan.backend_info["workspace_freed"]
@@ -732,26 +571,12 @@ class TestRenderedBackward:
                 assert info["rendered"] > 0, "backward must render"
         assert losses["numpy"].tobytes() == losses["cgen-strict"].tobytes()
 
-    def test_strict_backward_invariant_across_widths(self, rng):
-        x = rng.standard_normal((2, 3, 8, 12)).astype(np.float32)
-        losses = []
-        for nt in (1, 2, 4):
-            step = CompiledAdaptStep(
-                _train_stack(13), backend=CGenBackend(parity="strict"),
-                threads=nt,
-            )
-            losses.append(np.asarray(step.plan_for(x).run(x)).copy())
-        assert losses[0].tobytes() == losses[1].tobytes()
-        assert losses[0].tobytes() == losses[2].tobytes()
-
-    def test_band_backward_threaded_stays_in_band(self, rng):
+    def test_band_backward_stays_in_band(self, rng):
         x = rng.standard_normal((2, 3, 8, 12)).astype(np.float32)
         oracle = np.asarray(
             CompiledAdaptStep(_train_stack(17)).plan_for(x).run(x)
         ).copy()
-        step = CompiledAdaptStep(
-            _train_stack(17), backend="cgen", threads=2
-        )
+        step = CompiledAdaptStep(_train_stack(17), backend="cgen")
         plan = step.plan_for(x)
         loss = np.asarray(plan.run(x))
         assert plan.backend_info["rendered"] > 0
@@ -764,7 +589,7 @@ class TestRenderedBackward:
             CompiledAdaptStep(_train_stack(19)).plan_for(x, groups=2).run(x)
         ).copy()
         loss = np.asarray(
-            CompiledAdaptStep(_train_stack(19), backend="cgen", threads=2)
+            CompiledAdaptStep(_train_stack(19), backend="cgen")
             .plan_for(x, groups=2)
             .run(x)
         )

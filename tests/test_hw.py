@@ -1,5 +1,8 @@
 """Hardware model tests: device profiles, roofline, deadlines, energy."""
 
+import json
+import os
+
 import numpy as np
 import pytest
 
@@ -19,7 +22,6 @@ from repro.hw import (
     amortized_frame_latency,
     max_fps,
     meets_deadline,
-    parallel_speedup,
     select_operating_point,
     sota_epoch_latency,
     update_latency,
@@ -140,86 +142,27 @@ class TestRoofline:
         assert b.adapt_backward_ms > b.adapt_forward_ms
 
 
-class TestThreadPricing:
-    """Amdahl re-pricing of compute-bound roofline terms.
+class TestFig3Pin:
+    """The archived Fig. 3 reproduction is the pricing contract: every
+    roofline change must reproduce it to the last bit."""
 
-    ``threads=1`` must be an exact no-op (every archived single-thread
-    number is reproduced bitwise), and only compute terms speed up —
-    the BN parameter update is DRAM-bound and keeps its price.
-    """
+    def test_run_fig3_reproduces_archived_latencies(self):
+        from repro.experiments.fig3_latency import run_fig3
 
-    def test_cpu_cores_follow_nvpmodel_gates(self):
-        assert ORIN_POWER_MODES["orin-60w"].cpu_cores == 12
-        assert ORIN_POWER_MODES["orin-50w"].cpu_cores == 12
-        assert ORIN_POWER_MODES["orin-30w"].cpu_cores == 8
-        assert ORIN_POWER_MODES["orin-15w"].cpu_cores == 4
-
-    def test_scaled_inherits_and_overrides_cores(self):
-        derived = ORIN60.scaled(0.5, 0.5, "half", 30.0)
-        assert derived.cpu_cores == ORIN60.cpu_cores
-        assert derived.thread_efficiency == ORIN60.thread_efficiency
-        assert ORIN60.scaled(0.5, 0.5, "half", 30.0, cpu_cores=6).cpu_cores == 6
-
-    def test_single_thread_speedup_is_exactly_one(self):
-        assert parallel_speedup(ORIN60, 1) == 1.0
-
-    def test_speedup_monotone_in_threads(self):
-        speeds = [parallel_speedup(ORIN60, t) for t in (1, 2, 4, 8, 12)]
-        assert speeds == sorted(speeds)
-        assert speeds[-1] > speeds[0]
-
-    def test_speedup_clamps_at_device_cores(self):
-        assert parallel_speedup(ORIN60, 12) == parallel_speedup(ORIN60, 99)
-        dev15 = ORIN_POWER_MODES["orin-15w"]  # only 4 cores online
-        assert parallel_speedup(dev15, 8) == parallel_speedup(dev15, 4)
-
-    def test_speedup_bounded_by_amdahl_ceiling(self):
-        # serial fraction 1 - p bounds the speedup at 1 / (1 - p)
-        ceiling = 1.0 / (1.0 - ORIN60.thread_efficiency)
-        assert 1.0 < parallel_speedup(ORIN60, ORIN60.cpu_cores) < ceiling
-
-    def test_invalid_threads_raises(self):
-        with pytest.raises(ValueError):
-            parallel_speedup(ORIN60, 0)
-
-    def test_threads_one_is_bitwise_noop_on_latencies(self):
-        assert forward_latency(R18_SPEC, ORIN60, threads=1) == forward_latency(
-            R18_SPEC, ORIN60
+        path = os.path.join(
+            os.path.dirname(__file__), "..", "benchmarks", "results",
+            "fig3_latency.json",
         )
-        b0 = ld_bn_adapt_latency(R18_SPEC, ORIN60, 1)
-        b1 = ld_bn_adapt_latency(R18_SPEC, ORIN60, 1, threads=1)
-        assert b1.total_ms == b0.total_ms
-
-    def test_threads_speed_up_compute_terms(self):
-        assert (
-            forward_latency(R18_SPEC, ORIN60, threads=2)
-            < forward_latency(R18_SPEC, ORIN60)
-        )
-        assert (
-            backward_latency(R34_SPEC, ORIN60, batch_size=4, threads=2)
-            < backward_latency(R34_SPEC, ORIN60, batch_size=4)
-        )
-
-    def test_update_latency_is_bandwidth_bound(self):
-        # the tiny gamma/beta SGD update streams parameters from DRAM;
-        # more threads do not change its roofline price
-        assert update_latency(
-            R18_SPEC, ORIN60, R18_SPEC.bn_params, threads=8
-        ) == update_latency(R18_SPEC, ORIN60, R18_SPEC.bn_params)
-
-    def test_adapt_breakdown_speeds_up_but_stays_consistent(self):
-        b1 = ld_bn_adapt_latency(R18_SPEC, ORIN60, 1)
-        b2 = ld_bn_adapt_latency(R18_SPEC, ORIN60, 1, threads=2)
-        assert b2.total_ms < b1.total_ms
-        assert b2.update_ms == pytest.approx(b1.update_ms)
-        assert b2.total_ms == pytest.approx(b2.inference_ms + b2.adaptation_ms)
-
-    def test_more_threads_never_slower(self):
-        times = [
-            ld_bn_adapt_latency(R34_SPEC, ORIN60, 1, threads=t).total_ms
-            for t in (1, 2, 4, 8)
-        ]
-        assert times == sorted(times, reverse=True)
+        with open(path) as fh:
+            archived = {
+                (r["backbone"], r["power_mode"]): r for r in json.load(fh)
+            }
+        rows = run_fig3().rows
+        assert len(rows) == len(archived) == 8
+        for row in rows:
+            want = archived[(row.backbone, row.power_mode)]
+            assert row.inference_ms == want["inference_ms"]
+            assert row.adaptation_ms == want["adaptation_ms"]
 
 
 class TestFig3Pattern:
