@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # PR verification lanes — run from the repo root on every PR.
 #
-#   ./ci.sh            tier-1 tests, the slow marker, and the
-#                      gated-benchmark smoke lane
+#   ./ci.sh            tier-1 tests, the slow marker, the
+#                      gated-benchmark smoke lane, the cgen backend lane
+#                      and the host-benchmark self-test
 #   ./ci.sh --full     additionally runs the remaining quick benchmark
 #                      gates (bench-infer, bench-adapt)
 #
@@ -12,7 +13,10 @@
 # not just when a human runs the benchmarks by hand.  Lane 4 exercises
 # the cgen C plan backend (renderer parity tests plus a quick C-served
 # bench run); on hosts without a C compiler it prints a visible skip
-# notice and runs only the compiler-free fallback/registry tests.
+# notice and runs only the compiler-free fallback/registry tests.  Lane 5
+# runs the host benchmark's self-tests (perfbench/selftest.py): the only
+# check that patches ExecutionPlan.run/AdaptationPlan.run for the traced
+# per-layer run and compares traced with untraced outputs.
 
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -77,5 +81,8 @@ else
     # the fallback contract itself is still testable without a compiler
     python -m pytest tests/test_backends.py -q -k "Fallback or Config or Registry"
 fi
+
+echo "=== lane 5: host benchmark self-test (perfbench/selftest.py) ==="
+python3 -m pytest perfbench/selftest.py -q
 
 echo "ci.sh: all lanes passed"

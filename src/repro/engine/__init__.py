@@ -17,13 +17,15 @@ Architecture (four layers):
   per-sample ``(scale, shift)`` fleet override remain *plan inputs*
   resolved at replay time — LD-BN-ADAPT can keep rewriting BN state
   between frames without ever retracing.
-* :mod:`~repro.engine.plan` — lower the trace to closures: conv→BN→ReLU
-  chains fuse into a single im2col GEMM (``np.matmul(..., out=)``) with
-  the folded BN affine and ReLU applied in place as the GEMM epilogue;
-  liveness analysis recycles op outputs through a byte-arena pool
-  (:mod:`~repro.engine.backends.core` holds the backend-neutral
-  arena/liveness/im2col machinery); and im2col workspaces are cached per
-  layer so steady-state replays allocate nothing.
+* :mod:`~repro.engine.plan` — one lowering pass turns a trace into a
+  flat step list of closures.  Without a backward, conv→BN→ReLU chains
+  fuse into a single im2col GEMM (``np.matmul(..., out=)``) with the
+  folded BN affine and ReLU applied in place as the GEMM epilogue; one
+  liveness pass over program positions recycles op outputs through a
+  byte-arena pool (:mod:`~repro.engine.backends.core` holds the
+  backend-neutral arena/liveness/im2col machinery); and im2col
+  workspaces are cached per layer so steady-state replays allocate
+  nothing.
 * :mod:`~repro.engine.backends` — pluggable *plan backends* decide what
   executes each lowered stage.  ``numpy`` (the default) replays the
   closures above and is the bit-exact oracle.  ``cgen`` renders the
@@ -55,18 +57,18 @@ Architecture (four layers):
 :class:`repro.serve.FleetServer` use this path for inference by default;
 ``repro.nn.inference_mode(False)`` is the escape hatch back to eager.
 
-The same machinery covers the *adaptation* hot path:
+The same lowering pass covers the *adaptation* hot path:
 :func:`~repro.engine.tracer.trace_entropy_step` traces one LD-BN-ADAPT
 entropy step (train-mode BN forward + entropy loss), and
-:mod:`~repro.engine.adapt_plan` lowers it to a second static plan — the
-forward replays the eager train kernels (and is offered to the plan
-backend's renderer stage-by-stage, exactly like inference), the backward
-program is pruned to the gradient paths that reach BN gamma/beta
-(conv/linear weight gradients are never computed) and offered to the
-renderer too — under ``cgen`` the BN gamma/beta gradient reductions and
-the pruned chain run as C stages — and
-activations/saved-buffers/gradients share the engine's arena with
-liveness computed over the combined forward+backward program.
+:class:`~repro.engine.adapt_plan.AdaptationPlan` lowers it with the same
+forward builders (no fusion, no in-place writes) and appends the
+backward to the same step list.  The backward is pruned to the gradient
+paths that reach BN gamma/beta (conv/linear weight gradients are never
+computed) and is offered to the backend's renderer like every forward
+stage; under ``cgen`` the BN gamma/beta gradient reductions and the
+pruned chain run as C stages.  Activations, saved buffers and gradients
+share one arena, with liveness computed over the forward positions
+followed by the mirrored backward positions.
 :class:`~repro.engine.compile.CompiledAdaptStep` caches those plans per
 ``(shape, dtype, groups)``; ``groups > 1`` is the fleet's batched
 same-phase adaptation: per-group batch statistics and per-group
@@ -76,12 +78,7 @@ gamma/beta slots make one replay equal G serial steps.
 step (the correctness oracle).
 """
 
-from .adapt_plan import (
-    AdaptationPlan,
-    AdaptPlanStats,
-    BNLayerTap,
-    UnsupportedAdaptGraph,
-)
+from .adapt_plan import AdaptationPlan, BNLayerTap, UnsupportedAdaptGraph
 from .backends import (
     PlanBackend,
     available_backends,
@@ -90,12 +87,12 @@ from .backends import (
     resolve_backend,
 )
 from .compile import CompiledAdaptStep, CompiledInference, compile_model
-from .plan import ExecutionPlan, PlanProfile, PlanStats
+from .backends.core import PlanProfile
+from .plan import ExecutionPlan, PlanStats
 from .tracer import TraceGraph, trace, trace_entropy_step
 
 __all__ = [
     "AdaptationPlan",
-    "AdaptPlanStats",
     "BNLayerTap",
     "CompiledAdaptStep",
     "CompiledInference",

@@ -1,26 +1,26 @@
-"""Compile the LD-BN-ADAPT entropy step into a replayable static plan.
+"""The LD-BN-ADAPT entropy step as a replayable static plan.
 
-The adaptation hot path — one train-mode forward (BatchNorm normalizing
+The adaptation hot path is one train-mode forward (BatchNorm normalizing
 with live batch statistics), the Shannon-entropy loss, and a backward
-pass restricted to BN gamma/beta — previously ran through eager autograd:
-a ``Context`` and output ``Tensor`` per op, conv/linear *weight* gradients
-computed and discarded (everything but BN affine is frozen), and fresh
-temporaries per layer.  This module lowers the traced step
-(:func:`repro.engine.tracer.trace_entropy_step`) to closures the same way
-:mod:`repro.engine.plan` lowers inference:
+pass restricted to BN gamma/beta.  :class:`AdaptationPlan` lowers the
+traced step (:func:`repro.engine.tracer.trace_entropy_step`) through the
+same lowering pass as inference (:mod:`repro.engine.plan`): the forward
+stages are the inference builders without fusion or in-place writes, and
+this module adds what only a program with a backward needs:
 
-* every kernel replays the eager op sequence on the same values in the
-  same order, so gradients match the autograd oracle;
-* the backward program is pruned to the gradient paths that actually
-  reach a BN gamma/beta — conv/linear weight gradients and the gradient
-  into the stem conv are never computed;
-* activations, saved-for-backward buffers (``x_hat``, pool argmax, ReLU
-  masks) and gradient buffers live in the engine's arena
-  (:class:`repro.engine.plan._Arena`) with liveness computed over the
-  combined forward+backward program, and im2col workspaces are cached per
-  layer exactly like the inference plan;
-* no autograd ``Context`` or ``Tensor`` is allocated anywhere on the
-  replay path.
+* train-mode BN stages that save ``x_hat`` and publish their batch
+  statistics and gradients through :class:`BNLayerTap`;
+* the loss as one mean entropy per group;
+* the backward program, pruned to the gradient paths that actually reach
+  a BN gamma/beta — conv/linear weight gradients and the gradient into
+  the stem conv are never computed.  Its stages are appended to the same
+  step list as the forward, and its saved buffers (``x_hat``, pool
+  argmax, ReLU masks) and gradients share the forward's arena through the
+  one liveness pass.
+
+Every kernel replays the eager op sequence on the same values in the
+same order, so gradients match the autograd oracle, and no autograd
+``Context`` or ``Tensor`` is allocated anywhere on the replay path.
 
 **Grouped replay** is the fleet-batching mechanism: with ``groups=G`` the
 batch axis is split into G contiguous groups of equal size, every
@@ -35,22 +35,23 @@ modules and the plan is the single-stream compiled step.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..nn import functional as F
-from ..nn import tensor as T
-from ..nn.functional import _im2col_indices, _pair
 from ..nn.modules import _BatchNormBase
-from .backends.core import (
-    PlanProfile,
-    _Arena,
-    _timed_step,
-    lower_conv,
-    lower_pool,
-)
-from .tracer import ConstRef, OpNode, TraceGraph, ValueRef
+from .plan import _Plan, _kind
+from .tracer import OpNode, TraceGraph, ValueRef
+
+
+# arena buffers keyed (name, node index): what a forward stage saves for
+# its backward, and the scratch a backward stage allocates
+_SAVED = {"bn": ("xh",), "logsoftmax": ("ls",), "maxpool": ("arg",)}
+_BWD_SCRATCH = {
+    "conv": ("gcols", "gpad"),
+    "maxpool": ("gcols", "gpad"),
+    "relu": ("mask",),
+}
 
 
 class UnsupportedAdaptGraph(RuntimeError):
@@ -86,20 +87,7 @@ class BNLayerTap:
     batch_var: np.ndarray
 
 
-@dataclass(frozen=True)
-class AdaptPlanStats:
-    """Introspection summary of a compiled adaptation plan."""
-
-    num_ops: int  # traced nodes (forward incl. loss)
-    backward_stages: int  # emitted backward closures (pruned program)
-    skipped_backward: int  # traced nodes with no surviving gradient path
-    arena_blocks: int
-    arena_bytes: int
-    requested_bytes: int
-    workspace_bytes: int  # dedicated im2col/pool workspaces
-
-
-class AdaptationPlan:
+class AdaptationPlan(_Plan):
     """Executable entropy step at one (input shape, group count).
 
     ``run(x)`` replays the compiled forward, computes the loss, replays
@@ -107,6 +95,15 @@ class AdaptationPlan:
     Gradients and batch statistics are left in the :class:`BNLayerTap`
     buffers (overwritten by the next ``run``).
     """
+
+    # every op with a lowered backward; anything else (transpose,
+    # generic ops) raises UnsupportedAdaptGraph
+    _LOWERED = frozenset(
+        ("bn", "conv", "linear", "maxpool", "relu", "logsoftmax", "add",
+         "mul", "exp", "neg", "sum", "mean", "reshape")
+    )
+    _BACKWARD = True
+    _NOUN = "adaptation plan"
 
     def __init__(self, graph: TraceGraph, groups: int = 1,
                  profile: bool = False, renderer=None):
@@ -117,133 +114,29 @@ class AdaptationPlan:
             )
         self.groups = groups
         self.group_size = batch // groups
-        self._input_shape = graph.input_shape
-        self._fwd: List[Callable[[], None]] = []
-        self._bwd: List[Callable[[], None]] = []
-        self._fixed: Dict[int, np.ndarray] = {}
         self._grads: Dict[int, np.ndarray] = {}
-        self._input_cell: List[Optional[np.ndarray]] = [None]
         self.bn_taps: List[BNLayerTap] = []
-        self._renderer = renderer
-        self._pre_replay: Optional[Callable[[np.ndarray], np.ndarray]] = None
-        self.backend_info: Dict[str, object] = {"backend": "numpy"}
-        # profiling is a compile-time choice, exactly as in ExecutionPlan:
-        # the unprofiled closures carry no timing code at all
-        self.profile: Optional[PlanProfile] = PlanProfile() if profile else None
-        self._compile(graph)
-        if renderer is not None:
-            # both the forward stages and the pruned backward chain are
-            # offered for rendering; the renderer walks `_fwd` then
-            # `_bwd` (its section order) at finalize
-            self.backend_info = renderer.finalize(self, graph)
-            # drop the renderer (it holds every offered fallback closure
-            # and the workspaces they capture) — see plan.py
-            self._renderer = None
+        super().__init__(graph, profile=profile, renderer=renderer)
 
     # ------------------------------------------------------------------
-    # value access
+    # the backward program
     # ------------------------------------------------------------------
-    def _getter(self, ref) -> Callable[[], object]:
-        if isinstance(ref, ValueRef):
-            vid = ref.vid
-            if vid == self._input_vid:
-                cell = self._input_cell
-                return lambda: cell[0]
-            fixed = self._fixed[vid]
-            return lambda: fixed
-        if isinstance(ref, ConstRef):
-            tensor = ref.tensor
-            return lambda: tensor.data
-        value = ref
-        return lambda: value
+    def _stage_kind(self, node: OpNode) -> str:
+        kind = _kind(node)
+        if kind not in self._LOWERED:
+            raise UnsupportedAdaptGraph(
+                f"op {node.function.__name__} has no adaptation-plan "
+                f"lowering; use the eager step"
+            )
+        return kind
 
-    def _ref_shape_dtype(self, ref):
-        if isinstance(ref, ValueRef):
-            return self._shapes[ref.vid], self._dtypes[ref.vid]
-        if isinstance(ref, ConstRef):
-            return tuple(ref.tensor.shape), ref.tensor.data.dtype
-        return None, None
-
-    def _render_source(self, ref):
-        """Classify a forward-stage input for the renderer (see plan.py)."""
-        if isinstance(ref, ValueRef):
-            if ref.vid == self._input_vid:
-                return ("input", None)
-            fixed = self._fixed.get(ref.vid)
-            if fixed is not None:
-                return ("fixed", fixed)
-            return None
-        if isinstance(ref, ConstRef):
-            return ("const", ref.tensor)
-        return None
-
-    def _offer(self, kind: str, spec: dict, fallback) -> None:
-        """Offer one lowered forward stage to the renderer; append it."""
-        step = fallback
-        if self._renderer is not None:
-            placed = self._renderer.offer_stage(kind, spec, fallback)
-            if placed is not None:
-                step = placed
-        self._fwd.append(step)
-
-    @staticmethod
-    def _kind(node: OpNode) -> str:
-        if node.module is not None:
-            return "bn"
-        fn = node.function
-        if fn is F._Conv2d:
-            return "conv"
-        if fn is F._Linear:
-            return "linear"
-        if fn is F._MaxPool2d:
-            return "maxpool"
-        if fn is F._ReLU:
-            return "relu"
-        if fn is F._LogSoftmax:
-            return "logsoftmax"
-        if fn is T.Add:
-            return "add"
-        if fn is T.Mul:
-            return "mul"
-        if fn is T.Exp:
-            return "exp"
-        if fn is T.Neg:
-            return "neg"
-        if fn is T.Sum:
-            return "sum"
-        if fn is T.Mean:
-            return "mean"
-        if fn is T.Reshape:
-            return "reshape"
-        return "unsupported"
-
-    # ------------------------------------------------------------------
-    # compilation
-    # ------------------------------------------------------------------
-    def _compile(self, graph: TraceGraph) -> None:
+    def _plan_backward(self, graph: TraceGraph, kinds: List[str]) -> int:
         nodes = graph.nodes
         num = len(nodes)
-        self._input_vid = graph.input_vid
-        self._loss_vid = graph.output_vid
-        shapes: Dict[int, Tuple[int, ...]] = {graph.input_vid: graph.input_shape}
-        dtypes: Dict[int, np.dtype] = {graph.input_vid: graph.input_dtype}
-        producer: Dict[int, int] = {}
-        kinds: List[str] = []
-        for index, node in enumerate(nodes):
-            kind = self._kind(node)
-            if kind == "unsupported":
-                raise UnsupportedAdaptGraph(
-                    f"op {node.function.__name__} has no adaptation-plan "
-                    f"lowering; use the eager step"
-                )
-            kinds.append(kind)
-            shapes[node.out_vid] = node.out_shape
-            dtypes[node.out_vid] = node.out_dtype
-            producer[node.out_vid] = index
-        self._shapes, self._dtypes = shapes, dtypes
+        loss_vid = graph.output_vid
         loss_node = nodes[-1]
         if (
-            loss_node.out_vid != self._loss_vid
+            loss_node.out_vid != loss_vid
             or kinds[-1] != "mean"
             or loss_node.kwargs.get("axis") is not None
         ):
@@ -251,8 +144,6 @@ class AdaptationPlan:
                 "adaptation plan requires the trace to end in a global "
                 "mean loss (entropy_loss does)"
             )
-
-        # -- gradient-path analysis ------------------------------------
         # carries: the value's producing subgraph contains a train-mode BN,
         # i.e. a gradient flowing into it can still reach some gamma/beta.
         carries: set = set()
@@ -265,368 +156,92 @@ class AdaptationPlan:
             ):
                 carries.add(node.out_vid)
         # reaches: the value feeds the loss (live branch of the trace)
-        reaches = {self._loss_vid}
+        reaches = {loss_vid}
         for node in reversed(nodes):
             if node.out_vid in reaches:
                 for r in node.inputs:
                     if isinstance(r, ValueRef):
                         reaches.add(r.vid)
-        grad_vids = {v for v in carries if v in reaches}
+        self._grad_vids = {v for v in carries if v in reaches}
         # a node emits a backward stage when its output gradient exists
         # (the loss node seeds instead of consuming a gradient)
-        has_bwd = [
-            nodes[i].out_vid in grad_vids or nodes[i].out_vid == self._loss_vid
-            for i in range(num)
+        self._has_bwd = [
+            node.out_vid in self._grad_vids or node.out_vid == loss_vid
+            for node in nodes
         ]
-        # which inputs of node i receive gradient contributions
-        def grad_inputs(i: int) -> List[int]:
-            if not has_bwd[i]:
-                return []
-            return [
-                r.vid
-                for r in nodes[i].inputs
-                if isinstance(r, ValueRef) and r.vid in grad_vids
-            ]
+        self._written: Dict[int, bool] = {}
+        return 2 * num
 
-        # -- liveness over the combined forward+backward program --------
-        def bwd_pos(i: int) -> int:
-            return 2 * num - 1 - i
+    def _bwd_pos(self, index: int) -> int:
+        return 2 * len(self._has_bwd) - 1 - index
 
-        # reshape outputs are views: uses of the view keep the source's
-        # arena block alive
-        alias: Dict[int, int] = {
-            node.out_vid: node.inputs[0].vid
-            for index, node in enumerate(nodes)
-            if kinds[index] == "reshape" and isinstance(node.inputs[0], ValueRef)
-        }
+    def _grad_inputs(self, node: OpNode) -> List[int]:
+        """The inputs of ``node`` that receive gradient contributions."""
+        return [
+            r.vid
+            for r in node.inputs
+            if isinstance(r, ValueRef) and r.vid in self._grad_vids
+        ]
 
-        def root(vid: int) -> int:
-            while vid in alias:
-                vid = alias[vid]
-            return vid
+    def _backward_uses(self, index: int, node: OpNode, kind: str,
+                       use) -> None:
+        has_bwd = self._has_bwd[index]
+        pos = self._bwd_pos(index) if has_bwd else index
+        if has_bwd:
+            if kind in ("relu", "logsoftmax", "exp"):
+                use(node.out_vid, pos)
+            elif kind == "mul":
+                for r in node.inputs:
+                    if isinstance(r, ValueRef):
+                        use(r.vid, pos)
+        for name in _SAVED.get(kind, ()):
+            use((name, index), pos)
+        if has_bwd:
+            for name in _BWD_SCRATCH.get(kind, ()):
+                use((name, index), pos)
+        # a gradient buffer is born at the backward stage of its latest
+        # consumer and dies at the backward stage of its producer
+        if node.out_vid in self._grad_vids:
+            use(("g", node.out_vid), pos)
 
-        last_use: Dict[object, int] = {}
-
-        def use(key, pos):
-            last_use[key] = max(last_use.get(key, -1), pos)
-
-        for index, node in enumerate(nodes):
-            use(("a", root(node.out_vid)), index)  # dead outputs die at birth
-            for r in node.inputs:
-                if isinstance(r, ValueRef):
-                    use(("a", root(r.vid)), index)
-            kind = kinds[index]
-            pos = bwd_pos(index) if has_bwd[index] else index
-            if has_bwd[index]:
-                if kind in ("relu", "logsoftmax", "exp"):
-                    use(("a", root(node.out_vid)), pos)
-                elif kind == "mul":
-                    for r in node.inputs:
-                        if isinstance(r, ValueRef):
-                            use(("a", root(r.vid)), pos)
-            # internal saved-for-backward / scratch buffers
-            if kind == "bn":
-                use(("xh", index), pos)
-            elif kind == "logsoftmax":
-                use(("ls", index), pos)
-            elif kind == "maxpool":
-                use(("arg", index), pos)
-                if has_bwd[index]:
-                    use(("gcols", index), pos)
-                    use(("gpad", index), pos)
-            elif kind == "conv" and has_bwd[index]:
-                use(("gcols", index), pos)
-                use(("gpad", index), pos)
-            elif kind == "relu" and has_bwd[index]:
-                use(("mask", index), pos)
-        use(("a", root(self._loss_vid)), 2 * num)  # returned to caller: pinned
-        # gradient buffers: born at the backward stage of their latest
-        # consumer, die at the backward stage of their producer
-        for vid in grad_vids:
-            use(("g", vid), bwd_pos(producer[vid]))
-
-        dying: Dict[int, List[object]] = {}
-        for key, pos in last_use.items():
-            if pos <= 2 * num - 1:
-                dying.setdefault(pos, []).append(key)
-
-        arena = _Arena()
-        self._arena = arena
-        blocks: Dict[object, object] = {}
-        workspace_bytes = [0]
-
-        def alloc(key, shape, dtype) -> np.ndarray:
-            block, view = arena.alloc(shape, dtype)
-            block.alive.add(key)
-            blocks[key] = block
-            return view
-
-        def register(vid: int, array: np.ndarray) -> None:
-            self._fixed[vid] = array
-
-        def advance(pos: int) -> None:
-            for key in dying.get(pos, ()):
-                block = blocks.pop(key, None)
-                if block is not None:
-                    block.alive.discard(key)
-                    if not block.alive:
-                        arena.release(block)
-
-        def grad_buffer(vid: int) -> np.ndarray:
-            buf = self._grads.get(vid)
-            if buf is None:
-                buf = alloc(("g", vid), shapes[vid], dtypes[vid])
-                self._grads[vid] = buf
-            return buf
-
-        written: Dict[int, bool] = {}
-
-        def sink(vid: int):
-            """(buffer, fresh) for one gradient contribution into ``vid``."""
-            buf = grad_buffer(vid)
-            fresh = not written.get(vid, False)
-            written[vid] = True
-            return buf, fresh
-
-        # per-node compile-time state shared between fwd and bwd closures
-        cells: List[dict] = [dict() for _ in range(num)]
-
-        profile = self.profile
-
-        def wrap_tail(steps: List[Callable[[], None]], start: int,
-                      label: str) -> None:
-            # instrument whatever closures the builder just appended
-            for p in range(start, len(steps)):
-                steps[p] = _timed_step(steps[p], label, profile)
-
-        # -- forward ----------------------------------------------------
-        for index, node in enumerate(nodes):
-            kind = kinds[index]
-            builder = getattr(self, f"_fwd_{kind}")
-            before = len(self._fwd)
-            builder(node, index, cells[index], alloc, register, workspace_bytes)
-            if self._renderer is not None:
-                # profiling wraps for the forward happen at finalize,
-                # after the renderer resolves which stages survived
-                self._renderer.note_stage(before, len(self._fwd), f"fwd:{kind}")
-            elif profile is not None:
-                wrap_tail(self._fwd, before, f"fwd:{kind}")
-            advance(index)
-
-        # -- backward (pruned) ------------------------------------------
+    def _lower_backward(self, nodes: List[OpNode], kinds: List[str]) -> int:
         emitted = 0
-        for index in range(num - 1, -1, -1):
-            pos = bwd_pos(index)
-            if has_bwd[index]:
-                node = nodes[index]
-                kind = kinds[index]
-                builder = getattr(self, f"_bwd_{kind}")
-                before = len(self._bwd)
-                builder(node, index, cells[index], alloc, sink, grad_inputs(index))
-                if self._renderer is not None:
-                    # backward stages live in the renderer's second
-                    # section; profiling wraps happen at finalize
-                    self._renderer.note_stage(
-                        before, len(self._bwd), f"bwd:{kind}", section=1
-                    )
-                elif profile is not None:
-                    wrap_tail(self._bwd, before, f"bwd:{kind}")
+        for index in range(len(nodes) - 1, -1, -1):
+            if self._has_bwd[index]:
+                node, kind = nodes[index], kinds[index]
+                grad_in = self._grad_inputs(node)
+                # BN always emits: its own gamma/beta gradients are the
+                # point, whether or not anything upstream needs one
+                if grad_in or kind == "bn":
+                    before = len(self._steps)
+                    getattr(self, f"_bwd_{kind}")(node, index, grad_in)
+                    self._note(before, f"bwd:{kind}")
                 emitted += 1
-            advance(pos)
-
-        loss_buf = self._fixed[self._loss_vid]
-        self._loss_out = loss_buf
-        self.stats = AdaptPlanStats(
-            num_ops=num,
-            backward_stages=emitted,
-            skipped_backward=num - emitted,
-            arena_blocks=len(arena.blocks),
-            arena_bytes=arena.total_bytes,
-            requested_bytes=arena.requested_bytes,
-            workspace_bytes=workspace_bytes[0],
-        )
+            self._mem.advance(self._bwd_pos(index))
+        return emitted
 
     # ------------------------------------------------------------------
-    # forward stage builders
+    # adaptation-only forward stage builders
     # ------------------------------------------------------------------
-    def _fwd_conv(self, node, index, cell, alloc, register, workspace_bytes):
-        x_ref = node.inputs[0]
-        x_shape, x_dtype = self._ref_shape_dtype(x_ref)
-        weight = node.inputs[1].tensor
-        bias_ref = node.inputs[2]
-        bias = bias_ref.tensor if isinstance(bias_ref, ConstRef) else None
-        stride = _pair(node.inputs[3])
-        padding = _pair(node.inputs[4])
-
-        geo = lower_conv(
-            x_shape, weight.shape, stride, padding, node.out_dtype, x_dtype
-        )
-        n, c = geo.n, geo.c
-        f_out, p_total, k_total = geo.f_out, geo.p_total, geo.k_total
-        identity_cols = geo.identity_cols
-        padded, core, cols, flat = geo.padded, geo.core, geo.cols, geo.flat
-        workspace_bytes[0] += geo.workspace_nbytes
-        cell.update(
-            x_shape=x_shape, stride=stride, padding=padding,
-            identity_cols=identity_cols, k_total=k_total, p_total=p_total,
-            f_out=f_out,
+    def _lower_dynamic_view(self, node, transform):
+        raise UnsupportedAdaptGraph(
+            "reshape in an adaptation trace must be a view of an activation"
         )
 
-        out3 = alloc(("a", node.out_vid), (n, f_out, p_total),
-                     geo.compute_dtype)
-        out4 = out3.reshape(n, f_out, geo.out_h, geo.out_w)
-        register(node.out_vid, out4)
-        get_x = self._getter(x_ref)
-
-        def run():
-            x = get_x()
-            if padded is not None:
-                core[...] = x
-                np.take(padded.reshape(n, -1), flat, axis=1, out=cols,
-                        mode="clip")
-                cc = cols
-            elif identity_cols:
-                cc = x.reshape(n, c, p_total)
-            else:
-                np.take(x.reshape(n, -1), flat, axis=1, out=cols, mode="clip")
-                cc = cols
-            np.matmul(weight.data.reshape(f_out, k_total), cc, out=out3)
-            if bias is not None:
-                np.add(out3, bias.data.reshape(1, -1, 1), out=out3)
-
-        self._offer(
-            "conv",
-            dict(
-                geo=geo, x_src=self._render_source(x_ref), weight=weight,
-                bias=bias, bn_module=None, relu=False, out3=out3,
-            ),
-            run,
-        )
-
-    def _fwd_linear(self, node, index, cell, alloc, register, workspace_bytes):
-        x_ref = node.inputs[0]
-        x_shape, _ = self._ref_shape_dtype(x_ref)
-        weight = node.inputs[1].tensor
-        bias_ref = node.inputs[2]
-        bias = bias_ref.tensor if isinstance(bias_ref, ConstRef) else None
-        out2 = alloc(("a", node.out_vid), node.out_shape, node.out_dtype)
-        register(node.out_vid, out2)
-        get_x = self._getter(x_ref)
-
-        x_dtype = self._ref_shape_dtype(x_ref)[1]
-
-        def run():
-            np.matmul(get_x(), weight.data.T, out=out2)
-            if bias is not None:
-                np.add(out2, bias.data, out=out2)
-
-        self._offer(
-            "linear",
-            dict(
-                x_src=self._render_source(x_ref), x_shape=x_shape,
-                x_dtype=x_dtype, out_dtype=node.out_dtype, weight=weight,
-                bias=bias, relu=False, out2=out2,
-            ),
-            run,
-        )
-
-    def _fwd_relu(self, node, index, cell, alloc, register, workspace_bytes):
-        out = alloc(("a", node.out_vid), node.out_shape, node.out_dtype)
-        register(node.out_vid, out)
-        x_ref = node.inputs[0]
-        get_x = self._getter(x_ref)
-        self._offer(
-            "relu",
-            dict(x_src=self._render_source(x_ref), out=out,
-                 dtype=node.out_dtype),
-            lambda: np.maximum(get_x(), 0.0, out=out),
-        )
-
-    def _fwd_add(self, node, index, cell, alloc, register, workspace_bytes):
-        out = alloc(("a", node.out_vid), node.out_shape, node.out_dtype)
-        register(node.out_vid, out)
-        a_ref, b_ref = node.inputs[0], node.inputs[1]
-        get_a, get_b = self._getter(a_ref), self._getter(b_ref)
-        self._offer(
-            "add",
-            dict(
-                a_src=self._render_source(a_ref),
-                b_src=self._render_source(b_ref),
-                a_shape=self._ref_shape_dtype(a_ref)[0],
-                b_shape=self._ref_shape_dtype(b_ref)[0],
-                out_shape=node.out_shape, out=out, dtype=node.out_dtype,
-            ),
-            lambda: np.add(get_a(), get_b(), out=out),
-        )
-
-    def _fwd_mul(self, node, index, cell, alloc, register, workspace_bytes):
-        out = alloc(("a", node.out_vid), node.out_shape, node.out_dtype)
-        register(node.out_vid, out)
-        a_ref, b_ref = node.inputs[0], node.inputs[1]
-        get_a, get_b = self._getter(a_ref), self._getter(b_ref)
-        self._offer(
-            "mul",
-            dict(
-                a_src=self._render_source(a_ref),
-                b_src=self._render_source(b_ref),
-                a_shape=self._ref_shape_dtype(a_ref)[0],
-                b_shape=self._ref_shape_dtype(b_ref)[0],
-                out_shape=node.out_shape, out=out, dtype=node.out_dtype,
-            ),
-            lambda: np.multiply(get_a(), get_b(), out=out),
-        )
-
-    def _fwd_exp(self, node, index, cell, alloc, register, workspace_bytes):
-        out = alloc(("a", node.out_vid), node.out_shape, node.out_dtype)
-        register(node.out_vid, out)
-        x_ref = node.inputs[0]
-        get_x = self._getter(x_ref)
-        self._offer(
-            "exp",
-            dict(x_src=self._render_source(x_ref), out=out,
-                 dtype=node.out_dtype),
-            lambda: np.exp(get_x(), out=out),
-        )
-
-    def _fwd_neg(self, node, index, cell, alloc, register, workspace_bytes):
-        out = alloc(("a", node.out_vid), node.out_shape, node.out_dtype)
-        register(node.out_vid, out)
-        x_ref = node.inputs[0]
-        get_x = self._getter(x_ref)
-        self._offer(
-            "neg",
-            dict(x_src=self._render_source(x_ref), out=out,
-                 dtype=node.out_dtype),
-            lambda: np.negative(get_x(), out=out),
-        )
-
-    def _fwd_reshape(self, node, index, cell, alloc, register, workspace_bytes):
-        src = node.inputs[0]
-        shape = node.kwargs["shape"]
-        if not isinstance(src, ValueRef) or src.vid == self._input_vid:
-            raise UnsupportedAdaptGraph("reshape of a non-activation input")
-        base = self._fixed[src.vid]
-        view = base.reshape(shape)
-        if not np.shares_memory(view, base):  # pragma: no cover - arena bufs
-            raise UnsupportedAdaptGraph("non-view reshape in adaptation trace")
-        register(node.out_vid, view)
-        # pure view: zero replay cost, no stage emitted — but keep the
-        # source alive as long as the view (same arena block)
-
-    def _fwd_sum(self, node, index, cell, alloc, register, workspace_bytes):
+    def _lower_sum(self, index, node):
         axis = node.kwargs.get("axis")
         keepdims = node.kwargs.get("keepdims", False)
         if not isinstance(axis, int):
             raise UnsupportedAdaptGraph("sum lowering supports a single axis")
-        out = alloc(("a", node.out_vid), node.out_shape, node.out_dtype)
-        register(node.out_vid, out)
+        out = self._mem.alloc(node.out_vid, node.out_shape, node.out_dtype)
+        self._fixed[node.out_vid] = out
         get_x = self._getter(node.inputs[0])
-        cell.update(axis=axis, keepdims=keepdims)
-        self._fwd.append(
+        self._saved[index] = (axis, keepdims)
+        self._steps.append(
             lambda: np.sum(get_x(), axis=axis, keepdims=keepdims, out=out)
         )
 
-    def _fwd_mean(self, node, index, cell, alloc, register, workspace_bytes):
+    def _lower_mean(self, index, node):
         # only emitted for the final global-mean loss (validated upfront):
         # lowered as one mean per group so a grouped replay returns each
         # stream's own loss
@@ -634,21 +249,21 @@ class AdaptationPlan:
         groups = self.groups
         per_group = int(np.prod(in_shape)) // groups
         out = np.empty((groups,), dtype=node.out_dtype)
-        register(node.out_vid, out)
+        self._fixed[node.out_vid] = out
         get_x = self._getter(node.inputs[0])
-        cell.update(per_group=per_group, in_shape=in_shape)
-        self._fwd.append(
+        self._saved[index] = per_group
+        self._steps.append(
             lambda: np.mean(get_x().reshape(groups, per_group), axis=1, out=out)
         )
 
-    def _fwd_logsoftmax(self, node, index, cell, alloc, register,
-                        workspace_bytes):
+    def _lower_logsoftmax(self, index, node):
         axis = node.inputs[1]
-        out = alloc(("a", node.out_vid), node.out_shape, node.out_dtype)
-        register(node.out_vid, out)
-        scratch = alloc(("ls", index), node.out_shape, node.out_dtype)
+        out = self._mem.alloc(node.out_vid, node.out_shape, node.out_dtype)
+        self._fixed[node.out_vid] = out
+        scratch = self._mem.alloc(("ls", index), node.out_shape,
+                                  node.out_dtype)
         get_x = self._getter(node.inputs[0])
-        cell.update(axis=axis, scratch=scratch)
+        self._saved[index] = (axis, scratch)
 
         def run():
             x = get_x()
@@ -659,55 +274,9 @@ class AdaptationPlan:
             np.log(s, out=s)
             np.subtract(out, s, out=out)
 
-        self._fwd.append(run)
+        self._steps.append(run)
 
-    def _fwd_maxpool(self, node, index, cell, alloc, register, workspace_bytes):
-        x_ref = node.inputs[0]
-        x_shape, x_dtype = self._ref_shape_dtype(x_ref)
-        kernel = _pair(node.inputs[1])
-        stride = _pair(node.inputs[2] if node.inputs[2] is not None else kernel)
-        padding = _pair(node.inputs[3])
-        geo = lower_pool(
-            x_shape, node.out_shape, kernel, stride, padding, x_dtype
-        )
-        n, c, h, w = geo.n, geo.c, geo.h, geo.w
-        p_total = geo.p_total
-        padded, core, cols, flat = geo.padded, geo.core, geo.cols, geo.flat
-        workspace_bytes[0] += geo.workspace_nbytes
-        arg = alloc(("arg", index), (n * c, p_total), np.intp)
-
-        out4 = alloc(("a", node.out_vid), node.out_shape, node.out_dtype)
-        out2 = out4.reshape(n * c, p_total)
-        register(node.out_vid, out4)
-        get_x = self._getter(x_ref)
-        cell.update(
-            x_shape=x_shape, kernel=kernel, stride=stride, padding=padding,
-            h_eff=geo.h_eff, w_eff=geo.w_eff, arg=arg, scatter=geo.kij,
-            p_total=p_total,
-        )
-
-        def run():
-            x = get_x()
-            if padded is not None:
-                core[...] = x.reshape(n * c, h, w)
-                np.take(padded.reshape(n * c, -1), flat, axis=1, out=cols,
-                        mode="clip")
-            else:
-                np.take(x.reshape(n * c, -1), flat, axis=1, out=cols,
-                        mode="clip")
-            np.argmax(cols, axis=1, out=arg)
-            np.max(cols, axis=1, out=out2)
-
-        self._offer(
-            "maxpool",
-            dict(
-                geo=geo, x_src=self._render_source(x_ref),
-                out_dtype=node.out_dtype, out2=out2, arg=arg,
-            ),
-            run,
-        )
-
-    def _fwd_bn(self, node, index, cell, alloc, register, workspace_bytes):
+    def _lower_bn(self, index, node):
         if not node.train_bn:
             raise UnsupportedAdaptGraph(
                 "eval-mode BN inside an adaptation trace"
@@ -732,8 +301,8 @@ class AdaptationPlan:
         m = float(group_size * int(np.prod(x_shape[2:], dtype=np.int64)))
         eps = module.eps
 
-        out = alloc(("a", node.out_vid), node.out_shape, node.out_dtype)
-        xhat = alloc(("xh", index), node.out_shape, node.out_dtype)
+        out = self._mem.alloc(node.out_vid, node.out_shape, node.out_dtype)
+        xhat = self._mem.alloc(("xh", index), node.out_shape, node.out_dtype)
         # inv_std persists in a plan-owned buffer (not a per-run
         # temporary): the rendered backward reads it through a pointer
         # fixed at compile time.  Tiny — (G, C) per BN layer.
@@ -764,7 +333,7 @@ class AdaptationPlan:
         self.bn_taps.append(tap)
         get_x = self._getter(x_ref)
         hw = int(np.prod(x_shape[2:], dtype=np.int64))
-        cell.update(
+        self._saved[index] = dict(
             gshape=gshape, axes=axes, m=m, tap=tap, xhat=xhat,
             get_gamma=get_gamma, inv_std=inv_std, inv5=inv5, hw=hw,
             gamma_slot=gamma_slot, module=module,
@@ -788,14 +357,24 @@ class AdaptationPlan:
             tap.batch_mean[...] = mean.reshape(groups, c)
             tap.batch_var[...] = var.reshape(groups, c)
 
-        self._fwd.append(run)
-        register(node.out_vid, out)
+        self._steps.append(run)
+        self._fixed[node.out_vid] = out
 
     # ------------------------------------------------------------------
     # backward stage builders (emitted in reverse node order)
     # ------------------------------------------------------------------
-    def _contribute(self, vid, sink, compute_fresh, compute_value,
-                    offer=None):
+    def _sink(self, vid: int):
+        """(buffer, fresh) for one gradient contribution into ``vid``."""
+        buf = self._grads.get(vid)
+        if buf is None:
+            buf = self._mem.alloc(("g", vid), self._shapes[vid],
+                                  self._dtypes[vid])
+            self._grads[vid] = buf
+        fresh = not self._written.get(vid, False)
+        self._written[vid] = True
+        return buf, fresh
+
+    def _contribute(self, vid, compute_fresh, compute_value, offer=None):
         """Emit one gradient contribution into ``vid``.
 
         ``compute_fresh(dst)`` writes the contribution with ``out=``;
@@ -807,49 +386,38 @@ class AdaptationPlan:
         offered (the rendered backward covers the reduced single-writer
         chain).
         """
-        dst, fresh = sink(vid)
-        if fresh:
-            fallback = lambda: compute_fresh(dst)  # noqa: E731
-            if offer is not None and self._renderer is not None:
-                kind, spec = offer
-                placed = self._renderer.offer_stage(
-                    kind, dict(spec, dst=dst), fallback
-                )
-                if placed is not None:
-                    self._bwd.append(placed)
-                    return
-            self._bwd.append(fallback)
-        else:
-            self._bwd.append(lambda: np.add(dst, compute_value(), out=dst))
-
-    def _bwd_mean(self, node, index, cell, alloc, sink, grad_in):
-        if not grad_in:  # pragma: no cover - loss always carries
+        dst, fresh = self._sink(vid)
+        if not fresh:
+            self._steps.append(lambda: np.add(dst, compute_value(), out=dst))
             return
+        fallback = lambda: compute_fresh(dst)  # noqa: E731
+        if offer is None:
+            self._steps.append(fallback)
+        else:
+            kind, spec = offer
+            self._offer(kind, dict(spec, dst=dst), fallback)
+
+    def _bwd_mean(self, node, index, grad_in):
         vid = grad_in[0]
-        seed = 1.0 / cell["per_group"]
+        seed = 1.0 / self._saved[index]
         self._contribute(
-            vid, sink,
+            vid,
             lambda dst: dst.fill(seed),
             lambda: seed,
             offer=("fill", dict(value=seed, dtype=self._dtypes[vid])),
         )
 
-    def _bwd_neg(self, node, index, cell, alloc, sink, grad_in):
-        if not grad_in:
-            return
+    def _bwd_neg(self, node, index, grad_in):
         g = self._grads[node.out_vid]
         self._contribute(
-            grad_in[0], sink,
+            grad_in[0],
             lambda dst: np.negative(g, out=dst),
             lambda: -g,
         )
 
-    def _bwd_sum(self, node, index, cell, alloc, sink, grad_in):
-        if not grad_in:
-            return
+    def _bwd_sum(self, node, index, grad_in):
         g = self._grads[node.out_vid]
-        axis = cell["axis"]
-        keepdims = cell["keepdims"]
+        axis, keepdims = self._saved[index]
         in_shape = self._shapes[grad_in[0]]
         axis_norm = axis % len(in_shape)
 
@@ -857,46 +425,41 @@ class AdaptationPlan:
             return g if keepdims else np.expand_dims(g, axis_norm)
 
         self._contribute(
-            grad_in[0], sink,
+            grad_in[0],
             lambda dst: np.copyto(dst, expanded()),
             expanded,
         )
 
-    def _bwd_mul(self, node, index, cell, alloc, sink, grad_in):
+    def _bwd_mul(self, node, index, grad_in):
         g = self._grads[node.out_vid]
         a_ref, b_ref = node.inputs[0], node.inputs[1]
         get_a, get_b = self._getter(a_ref), self._getter(b_ref)
         if isinstance(a_ref, ValueRef) and a_ref.vid in grad_in:
             self._contribute(
-                a_ref.vid, sink,
+                a_ref.vid,
                 lambda dst: np.multiply(g, get_b(), out=dst),
                 lambda: g * get_b(),
             )
         if isinstance(b_ref, ValueRef) and b_ref.vid in grad_in:
             self._contribute(
-                b_ref.vid, sink,
+                b_ref.vid,
                 lambda dst: np.multiply(g, get_a(), out=dst),
                 lambda: g * get_a(),
             )
 
-    def _bwd_exp(self, node, index, cell, alloc, sink, grad_in):
-        if not grad_in:
-            return
+    def _bwd_exp(self, node, index, grad_in):
         g = self._grads[node.out_vid]
         out = self._fixed[node.out_vid]
         self._contribute(
-            grad_in[0], sink,
+            grad_in[0],
             lambda dst: np.multiply(g, out, out=dst),
             lambda: g * out,
         )
 
-    def _bwd_logsoftmax(self, node, index, cell, alloc, sink, grad_in):
-        if not grad_in:
-            return
+    def _bwd_logsoftmax(self, node, index, grad_in):
         g = self._grads[node.out_vid]
         out = self._fixed[node.out_vid]
-        axis = cell["axis"]
-        scratch = cell["scratch"]
+        axis, scratch = self._saved[index]
 
         def value():
             np.exp(out, out=scratch)  # softmax
@@ -905,14 +468,12 @@ class AdaptationPlan:
             return scratch
 
         self._contribute(
-            grad_in[0], sink,
+            grad_in[0],
             lambda dst: np.subtract(g, value(), out=dst),
             lambda: g - value(),
         )
 
-    def _bwd_reshape(self, node, index, cell, alloc, sink, grad_in):
-        if not grad_in:
-            return
+    def _bwd_reshape(self, node, index, grad_in):
         g = self._grads[node.out_vid]
         in_shape = self._shapes[grad_in[0]]
 
@@ -920,29 +481,27 @@ class AdaptationPlan:
             return g.reshape(in_shape)
 
         self._contribute(
-            grad_in[0], sink,
+            grad_in[0],
             lambda dst: np.copyto(dst, reshaped()),
             reshaped,
             offer=("copy", dict(g=g, dtype=node.out_dtype)),
         )
 
-    def _bwd_add(self, node, index, cell, alloc, sink, grad_in):
+    def _bwd_add(self, node, index, grad_in):
         g = self._grads[node.out_vid]
         for ref in node.inputs[:2]:
             if isinstance(ref, ValueRef) and ref.vid in grad_in:
                 self._contribute(
-                    ref.vid, sink,
+                    ref.vid,
                     lambda dst: np.copyto(dst, g),
                     lambda: g,
                     offer=("copy", dict(g=g, dtype=node.out_dtype)),
                 )
 
-    def _bwd_relu(self, node, index, cell, alloc, sink, grad_in):
-        if not grad_in:
-            return
+    def _bwd_relu(self, node, index, grad_in):
         g = self._grads[node.out_vid]
         out = self._fixed[node.out_vid]
-        mask = alloc(("mask", index), node.out_shape, np.bool_)
+        mask = self._mem.alloc(("mask", index), node.out_shape, np.bool_)
 
         def fresh(dst):
             np.greater(out, 0, out=mask)
@@ -953,17 +512,15 @@ class AdaptationPlan:
             return g * mask
 
         self._contribute(
-            grad_in[0], sink, fresh, value,
+            grad_in[0], fresh, value,
             offer=("relu_bwd", dict(g=g, y=out, dtype=node.out_dtype)),
         )
 
-    def _bwd_linear(self, node, index, cell, alloc, sink, grad_in):
-        if not grad_in:
-            return
+    def _bwd_linear(self, node, index, grad_in):
         g = self._grads[node.out_vid]
         weight = node.inputs[1].tensor
         self._contribute(
-            grad_in[0], sink,
+            grad_in[0],
             lambda dst: np.matmul(g, weight.data, out=dst),
             lambda: g @ weight.data,
             offer=("linear_bwd", dict(
@@ -973,74 +530,62 @@ class AdaptationPlan:
             )),
         )
 
-    def _bwd_conv(self, node, index, cell, alloc, sink, grad_in):
-        if not grad_in:
-            return
+    def _bwd_conv(self, node, index, grad_in):
         g4 = self._grads[node.out_vid]
         weight = node.inputs[1].tensor
-        n, c, h, w = cell["x_shape"]
-        stride, padding = cell["stride"], cell["padding"]
-        k_total, p_total, f_out = cell["k_total"], cell["p_total"], cell["f_out"]
+        geo = self._saved[index]
+        n, c, h, w = geo.n, geo.c, geo.h, geo.w
+        padding = geo.padding
+        k_total, p_total, f_out = geo.k_total, geo.p_total, geo.f_out
         dtype = node.out_dtype
-        grad_cols = alloc(("gcols", index), (n, k_total, p_total), dtype)
-        if cell["identity_cols"]:
-            def value():
-                g_mat = g4.reshape(n, f_out, p_total)
-                np.einsum(
-                    "fk,nfp->nkp", weight.data.reshape(f_out, k_total), g_mat,
-                    out=grad_cols, optimize=True,
-                )
-                return grad_cols.reshape(n, c, h, w)
-
-            self._contribute(
-                grad_in[0], sink,
-                lambda dst: np.copyto(dst, value()),
-                value,
-                offer=("conv_bwd", dict(
-                    g=g4, weight=weight, g_dims=(n, f_out, p_total),
-                    kt=k_total, dtype=dtype,
-                )),
-            )
-            return
-        else:
-            kernel = (weight.shape[2], weight.shape[3])
-            k, i, j, _, _ = _im2col_indices(c, h, w, kernel, stride, padding)
+        grad_cols = self._mem.alloc(("gcols", index), (n, k_total, p_total),
+                                    dtype)
+        identity = geo.identity_cols
+        if not identity:
+            k, i, j = geo.kij
             hp, wp = h + 2 * padding[0], w + 2 * padding[1]
-            gpad = alloc(("gpad", index), (n, c, hp, wp), dtype)
+            gpad = self._mem.alloc(("gpad", index), (n, c, hp, wp), dtype)
             inner = gpad[:, :, padding[0]:padding[0] + h,
                          padding[1]:padding[1] + w]
 
-            def value():
-                g_mat = g4.reshape(n, f_out, p_total)
-                np.einsum(
-                    "fk,nfp->nkp", weight.data.reshape(f_out, k_total), g_mat,
-                    out=grad_cols, optimize=True,
-                )
-                gpad.fill(0.0)
-                np.add.at(gpad, (slice(None), k, i, j), grad_cols)
-                return inner
+        def value():
+            g_mat = g4.reshape(n, f_out, p_total)
+            np.einsum(
+                "fk,nfp->nkp", weight.data.reshape(f_out, k_total), g_mat,
+                out=grad_cols, optimize=True,
+            )
+            if identity:
+                return grad_cols.reshape(n, c, h, w)
+            gpad.fill(0.0)
+            np.add.at(gpad, (slice(None), k, i, j), grad_cols)
+            return inner
 
+        # only the 1x1 (identity-column) case renders: the scatter-add of
+        # a strided kernel stays on numpy
         self._contribute(
-            grad_in[0], sink,
+            grad_in[0],
             lambda dst: np.copyto(dst, value()),
             value,
+            offer=("conv_bwd", dict(
+                g=g4, weight=weight, g_dims=(n, f_out, p_total),
+                kt=k_total, dtype=dtype,
+            )) if identity else None,
         )
 
-    def _bwd_maxpool(self, node, index, cell, alloc, sink, grad_in):
-        if not grad_in:
-            return
+    def _bwd_maxpool(self, node, index, grad_in):
         g4 = self._grads[node.out_vid]
-        n, c, h, w = cell["x_shape"]
-        kernel, stride, padding = cell["kernel"], cell["stride"], cell["padding"]
-        h_eff, w_eff = cell["h_eff"], cell["w_eff"]
-        arg = cell["arg"]
-        k, i, j = cell["scatter"]
-        p_total = cell["p_total"]
+        geo, arg = self._saved[index]
+        n, c, h, w = geo.n, geo.c, geo.h, geo.w
+        kernel, padding = geo.kernel, geo.padding
+        h_eff, w_eff = geo.h_eff, geo.w_eff
+        k, i, j = geo.kij
+        p_total = geo.p_total
         dtype = node.out_dtype
-        grad_cols = alloc(
+        grad_cols = self._mem.alloc(
             ("gcols", index), (n * c, kernel[0] * kernel[1], p_total), dtype
         )
-        gpad = alloc(("gpad", index), (n * c, 1, h_eff, w_eff), dtype)
+        gpad = self._mem.alloc(("gpad", index), (n * c, 1, h_eff, w_eff),
+                               dtype)
         ph, pw = padding
 
         def value():
@@ -1057,13 +602,14 @@ class AdaptationPlan:
             return grad
 
         self._contribute(
-            grad_in[0], sink,
+            grad_in[0],
             lambda dst: np.copyto(dst, value()),
             value,
         )
 
-    def _bwd_bn(self, node, index, cell, alloc, sink, grad_in):
+    def _bwd_bn(self, node, index, grad_in):
         g = self._grads[node.out_vid]
+        cell = self._saved[index]
         gshape, axes, m = cell["gshape"], cell["axes"], cell["m"]
         tap, xhat = cell["tap"], cell["xhat"]
         get_gamma = cell["get_gamma"]
@@ -1094,6 +640,8 @@ class AdaptationPlan:
         )
 
         if grad_in:
+            in_shape = self._shapes[grad_in[0]]
+
             def value():
                 g5, xh5 = grads_gamma_beta()
                 dx_hat = g5 * get_gamma()
@@ -1106,23 +654,17 @@ class AdaptationPlan:
                         - xh5 * (dx_hat * xh5).sum(axis=axes, keepdims=True)
                     )
                 )
-                return grad5.reshape(self._shapes[grad_in[0]])
+                return grad5.reshape(in_shape)
 
             self._contribute(
-                grad_in[0], sink,
+                grad_in[0],
                 lambda dst: np.copyto(dst, value()),
                 value,
                 offer=("bn_bwd", spec),
             )
         else:
             # the first BN in the network: nothing upstream needs gradient
-            fallback = lambda: grads_gamma_beta()  # noqa: E731
-            step = fallback
-            if self._renderer is not None:
-                placed = self._renderer.offer_stage("bn_bwd", spec, fallback)
-                if placed is not None:
-                    step = placed
-            self._bwd.append(step)
+            self._offer("bn_bwd", spec, lambda: grads_gamma_beta())
 
     # ------------------------------------------------------------------
     # replay
@@ -1133,31 +675,4 @@ class AdaptationPlan:
         BN gradients and batch statistics are left in :attr:`bn_taps`
         (plan-owned buffers, overwritten by the next ``run``).
         """
-        if x.shape != self._input_shape:
-            raise ValueError(
-                f"adaptation plan compiled for input {self._input_shape}, "
-                f"got {x.shape}"
-            )
-        if self._pre_replay is not None:
-            x = self._pre_replay(x)
-        self._input_cell[0] = x
-        if self.profile is not None:
-            self.profile.runs += 1
-        for step in self._fwd:
-            step()
-        for step in self._bwd:
-            step()
-        return self._loss_out
-
-    def profile_summary(self) -> Optional[Dict[str, object]]:
-        """Per-op timing plus arena byte counters.
-
-        ``None`` unless the plan was compiled with ``profile=True``.
-        """
-        if self.profile is None:
-            return None
-        out = self.profile.summary()
-        out["arena_bytes"] = self.stats.arena_bytes
-        out["requested_bytes"] = self.stats.requested_bytes
-        out["workspace_bytes"] = self.stats.workspace_bytes
-        return out
+        return self._replay(x)

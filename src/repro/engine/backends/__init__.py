@@ -1,4 +1,4 @@
-"""Plan backends: pluggable lowerings of traced graphs to executable plans.
+"""Plan backends: what executes the stages of the one lowering pass.
 
 ``numpy`` is the bit-exact closure oracle, ``cgen``/``cgen-strict``
 render plans to a compiled C translation unit with per-stage numpy
@@ -9,6 +9,7 @@ lowering machinery.
 """
 
 from .base import (
+    NumpyBackend,
     PlanBackend,
     available_backends,
     get_backend,
@@ -16,7 +17,6 @@ from .base import (
     resolve_backend,
 )
 from .cgen import PARITY_ATOL, PARITY_RTOL, CGenBackend, find_cc
-from .numpy_backend import NumpyBackend
 
 __all__ = [
     "PlanBackend",

@@ -1,13 +1,14 @@
 """The ``plan -> backend`` interface: how traced graphs become plans.
 
 A :class:`PlanBackend` lowers a traced graph (inference forward or
-LD-BN-ADAPT entropy step) into an executable plan.  All backends share
-the front half of the pipeline — tracing, fusion scan, liveness/arena
-assignment, im2col workspace lowering (:mod:`repro.engine.backends.core`)
-— and differ only in what executes each stage:
+LD-BN-ADAPT entropy step) into an executable plan.  Every backend runs
+the same lowering pass (:mod:`repro.engine.plan`: fusion scan, one
+liveness/arena pass, im2col workspaces from
+:mod:`repro.engine.backends.core`) and differs only in the stage
+*renderer* it hands that pass:
 
-* ``numpy`` (:mod:`~repro.engine.backends.numpy_backend`) — the original
-  closure lowering; bit-exact with the eager autograd path and therefore
+* ``numpy`` (:class:`NumpyBackend`) — no renderer: the plan replays its
+  numpy closures, bit-exact with the eager autograd path and therefore
   the correctness oracle for everything else.
 * ``cgen`` / ``cgen-strict`` (:mod:`~repro.engine.backends.cgen`) — the
   plan rendered to one C translation unit, compiled at runtime and
@@ -31,22 +32,35 @@ _ENV_BACKEND = "REPRO_BACKEND"
 class PlanBackend:
     """Lowers traced graphs to executable plans.
 
-    Implementations must return objects with the
-    :class:`~repro.engine.plan.ExecutionPlan` /
-    :class:`~repro.engine.adapt_plan.AdaptationPlan` interface (``run``,
-    ``stats``, ``profile_summary``, ``backend_info``) — today they *are*
-    those classes, differing only in the stage renderer handed to the
-    compilation.
+    Both plan kinds come from the one lowering pass; a backend only
+    chooses the stage renderer (:meth:`renderer`) that pass offers every
+    stage to.
     """
 
     name: str = "abstract"
 
+    def renderer(self):
+        """A fresh single-use stage renderer, or ``None`` for closures."""
+        return None
+
     def compile_inference(self, graph, profile: bool = False):
-        raise NotImplementedError
+        from ..plan import ExecutionPlan
+
+        return ExecutionPlan(graph, profile=profile, renderer=self.renderer())
 
     def compile_adaptation(self, graph, groups: int = 1,
                            profile: bool = False):
-        raise NotImplementedError
+        from ..adapt_plan import AdaptationPlan
+
+        return AdaptationPlan(
+            graph, groups=groups, profile=profile, renderer=self.renderer()
+        )
+
+
+class NumpyBackend(PlanBackend):
+    """The numpy-closure plans: the bit-exactness oracle."""
+
+    name = "numpy"
 
 
 _REGISTRY: Dict[str, Callable[[], PlanBackend]] = {}
@@ -88,3 +102,6 @@ def resolve_backend(spec=None) -> PlanBackend:
     if isinstance(spec, PlanBackend):
         return spec
     return get_backend(spec)
+
+
+register_backend("numpy", NumpyBackend)

@@ -225,25 +225,18 @@ class _Offer:
 
 
 class CRenderer:
-    """Stage renderer handed to one plan compilation (single use).
+    """Stage renderer handed to one plan compilation (single use)."""
 
-    ``sections`` names the plan step lists rendered in replay order —
-    ``("_steps",)`` for inference plans, ``("_fwd", "_bwd")`` for
-    adaptation plans.
-    """
-
-    def __init__(self, backend: "CGenBackend",
-                 sections: Tuple[str, ...] = ("_steps",)):
+    def __init__(self, backend: "CGenBackend"):
         self.backend = backend
         self.strict = backend.parity == "strict"
-        self._sections = tuple(sections)
         self._offers: List[_Offer] = []
         self._funcs: List[str] = []
         self._nslots = 1  # slot 0 is the plan input, bound per replay
         self._static: List[Tuple[int, np.ndarray]] = []
         self._static_ids: Dict[int, int] = {}
         self._tab_holder: List[Optional[np.ndarray]] = [None]
-        self._labels: List[Tuple[int, int, int, str]] = []
+        self._labels: Dict[int, str] = {}  # step position -> stage label
         self._scratch_bytes = 0
         self.offered = 0
         self.declined = 0
@@ -314,9 +307,9 @@ class CRenderer:
         self._scratch_bytes = max(self._scratch_bytes, int(nbytes))
 
     # -- plan hooks ------------------------------------------------------
-    def note_stage(self, start: int, end: int, label: str,
-                   section: int = 0) -> None:
-        self._labels.append((section, start, end, label))
+    def note_stage(self, start: int, end: int, label: str) -> None:
+        for pos in range(start, end):
+            self._labels[pos] = label
 
     def offer_stage(self, kind: str, spec: dict, fallback):
         self.offered += 1
@@ -1259,22 +1252,15 @@ class CRenderer:
             equal_nan=True,
         ))
 
-    def _pos_labels(self) -> Dict[Tuple[int, int], str]:
-        out: Dict[Tuple[int, int], str] = {}
-        for sec, start, end, label in self._labels:
-            for pos in range(start, end):
-                out[(sec, pos)] = label
-        return out
-
     def finalize(self, plan, graph) -> Dict[str, object]:
-        sections: List[list] = [getattr(plan, a) for a in self._sections]
+        steps: List[Callable[[], None]] = plan._steps
         profile = plan.profile
         if profile is not None:
             profile.backend = self.backend.name
         info: Dict[str, object] = {
             "backend": self.backend.name,
             "parity": "strict" if self.strict else "band",
-            "stages": sum(len(s) for s in sections),
+            "stages": len(steps),
             "offered": self.offered,
             "declined": self.declined,
             "rendered": 0,
@@ -1285,19 +1271,17 @@ class CRenderer:
             "cache_recovered": False,
             "workspace_freed": 0,
         }
-        labels = self._pos_labels()
+        labels = self._labels
 
         def bail(reason: Optional[str]):
-            for si, steps in enumerate(sections):
-                for pos, step in enumerate(steps):
-                    if isinstance(step, _Offer):
-                        steps[pos] = step.fallback
+            for pos, step in enumerate(steps):
+                if isinstance(step, _Offer):
+                    step = step.fallback
                 if profile is not None:
-                    for pos in range(len(steps)):
-                        steps[pos] = _timed_step(
-                            steps[pos], labels.get((si, pos), "stage"),
-                            profile,
-                        )
+                    step = _timed_step(
+                        step, labels.get(pos, "stage"), profile
+                    )
+                steps[pos] = step
             info["fallback_reason"] = reason
             return info
 
@@ -1350,100 +1334,83 @@ class CRenderer:
         tab[0] = x_probe.ctypes.data
         plan._input_cell[0] = x_probe
         one = np.empty(1, dtype=np.int64)
-        for steps in sections:
-            for step in steps:
-                if not isinstance(step, _Offer):
-                    step()
-                    continue
-                pre = [o.copy() for o in step.outs]
-                step.fallback()
-                oracle = [o.copy() for o in step.outs]
-                for buf, snap in zip(step.outs, pre):
-                    np.copyto(buf, snap, casting="no")
-                ok = True
-                try:
-                    for bind in step.binders:
-                        bind()
-                    one[0] = step.sid
-                    run_fn(tab_ptr, one.ctypes.data, 1)
-                    for buf, want in zip(step.outs, oracle):
-                        if not self._match(buf, want, step.tol_dtype):
-                            ok = False
-                            break
-                except Exception:
-                    ok = False
-                if not ok:
-                    step.demoted = True
-                # downstream stages (and the next probe) always see oracle
-                # values, whether or not this stage survived
+        for step in steps:
+            if not isinstance(step, _Offer):
+                step()
+                continue
+            pre = [o.copy() for o in step.outs]
+            step.fallback()
+            oracle = [o.copy() for o in step.outs]
+            for buf, snap in zip(step.outs, pre):
+                np.copyto(buf, snap, casting="no")
+            ok = True
+            try:
+                for bind in step.binders:
+                    bind()
+                one[0] = step.sid
+                run_fn(tab_ptr, one.ctypes.data, 1)
                 for buf, want in zip(step.outs, oracle):
-                    np.copyto(buf, want, casting="no")
+                    if not self._match(buf, want, step.tol_dtype):
+                        ok = False
+                        break
+            except Exception:
+                ok = False
+            if not ok:
+                step.demoted = True
+            # downstream stages (and the next probe) always see oracle
+            # values, whether or not this stage survived
+            for buf, want in zip(step.outs, oracle):
+                np.copyto(buf, want, casting="no")
         plan._input_cell[0] = None
 
-        # -- rebuild the step lists: surviving rendered stages become
+        # -- rebuild the step list: surviving rendered stages become
         # repro_run segments (one ctypes call per run of consecutive
         # stages), demoted/declined stages keep their numpy closures
         binders: List[Callable[[], None]] = []
         rendered = demoted = 0
-        for si, steps in enumerate(sections):
-            new_steps: List[Callable[[], None]] = []
-            i = 0
-            while i < len(steps):
-                step = steps[i]
-                if isinstance(step, _Offer) and not step.demoted:
-                    if profile is None:
-                        sids = []
-                        j = i
-                        while (
-                            j < len(steps)
-                            and isinstance(steps[j], _Offer)
-                            and not steps[j].demoted
-                        ):
-                            sids.append(steps[j].sid)
-                            binders.extend(steps[j].binders)
-                            j += 1
-                        ids = np.asarray(sids, dtype=np.int64)
-                        keep.append(ids)
-                        ids_ptr = ids.ctypes.data
-                        nseg = len(sids)
+        new_steps: List[Callable[[], None]] = []
+        i = 0
+        while i < len(steps):
+            step = steps[i]
+            if isinstance(step, _Offer) and not step.demoted:
+                # profiled plans keep per-stage calls so op_ms attributes
+                # time to individual rendered stages
+                j = i + 1
+                while (
+                    profile is None
+                    and j < len(steps)
+                    and isinstance(steps[j], _Offer)
+                    and not steps[j].demoted
+                ):
+                    j += 1
+                sids = []
+                for offer in steps[i:j]:
+                    sids.append(offer.sid)
+                    binders.extend(offer.binders)
+                ids = np.asarray(sids, dtype=np.int64)
+                keep.append(ids)
 
-                        def seg(run_fn=run_fn, tab_ptr=tab_ptr,
-                                ids_ptr=ids_ptr, nseg=nseg):
-                            run_fn(tab_ptr, ids_ptr, nseg)
+                def seg(run_fn=run_fn, tab_ptr=tab_ptr,
+                        ids_ptr=ids.ctypes.data, nseg=len(sids)):
+                    run_fn(tab_ptr, ids_ptr, nseg)
 
-                        new_steps.append(seg)
-                        rendered += nseg
-                        i = j
-                    else:
-                        # profiled plans keep per-stage calls so op_ms
-                        # attributes time to individual rendered stages
-                        binders.extend(step.binders)
-                        ids = np.asarray([step.sid], dtype=np.int64)
-                        keep.append(ids)
-                        ids_ptr = ids.ctypes.data
-
-                        def call(run_fn=run_fn, tab_ptr=tab_ptr,
-                                 ids_ptr=ids_ptr):
-                            run_fn(tab_ptr, ids_ptr, 1)
-
-                        new_steps.append(_timed_step(
-                            call,
-                            "cgen:" + labels.get((si, i), "stage"),
-                            profile,
-                        ))
-                        rendered += 1
-                        i += 1
-                    continue
-                fn = step.fallback if isinstance(step, _Offer) else step
-                if isinstance(step, _Offer):
-                    demoted += 1
                 if profile is not None:
-                    fn = _timed_step(
-                        fn, labels.get((si, i), "stage"), profile
+                    seg = _timed_step(
+                        seg, "cgen:" + labels.get(i, "stage"), profile
                     )
-                new_steps.append(fn)
-                i += 1
-            steps[:] = new_steps
+                new_steps.append(seg)
+                rendered += len(sids)
+                i = j
+                continue
+            fn = step
+            if isinstance(step, _Offer):
+                fn = step.fallback
+                demoted += 1
+            if profile is not None:
+                fn = _timed_step(fn, labels.get(i, "stage"), profile)
+            new_steps.append(fn)
+            i += 1
+        steps[:] = new_steps
         info["rendered"] = rendered
         info["demoted"] = demoted
 
@@ -1516,21 +1483,8 @@ class CGenBackend(PlanBackend):
         # $REPRO_CGEN_CACHE without rebuilding backend instances
         return default_cache_dir()
 
-    def compile_inference(self, graph, profile: bool = False):
-        from ..plan import ExecutionPlan
-
-        return ExecutionPlan(
-            graph, profile=profile, renderer=CRenderer(self, ("_steps",))
-        )
-
-    def compile_adaptation(self, graph, groups: int = 1,
-                           profile: bool = False):
-        from ..adapt_plan import AdaptationPlan
-
-        return AdaptationPlan(
-            graph, groups=groups, profile=profile,
-            renderer=CRenderer(self, ("_fwd", "_bwd")),
-        )
+    def renderer(self) -> CRenderer:
+        return CRenderer(self)
 
 
 register_backend("cgen", CGenBackend)

@@ -1,24 +1,23 @@
 """Backend-neutral lowering machinery shared by every plan backend.
 
-Both static plans — the inference :class:`~repro.engine.plan.ExecutionPlan`
-and the adaptation :class:`~repro.engine.adapt_plan.AdaptationPlan` — used
-to carry private copies of the same three pieces of compile-time
-infrastructure.  They live here now, and every :class:`PlanBackend`
-(numpy closures, generated C) builds on the same objects:
+The one lowering pass in :mod:`repro.engine.plan` builds both plan kinds
+(inference and adaptation) on these pieces, and every :class:`PlanBackend`
+(numpy closures, generated C) uses the same objects:
 
-* :class:`_Arena` / :class:`_Block` — the liveness-driven byte-arena pool
-  op outputs are recycled through;
+* :class:`_Arena` / :class:`_Block` — the byte-arena pool op outputs are
+  recycled through, and :class:`_Liveness`, which owns arena blocks by
+  key and frees each block once every key aliased to it has passed its
+  last use in program order;
 * :class:`ConvLowering` / :class:`PoolLowering` — the im2col geometry of
   one conv/pool layer (gather indices, padded-image buffer, column
-  workspace) computed once at compile time, exactly as both plans did it;
+  workspace), computed once at compile time;
 * :class:`PlanProfile` / :func:`_timed_step` — the opt-in per-stage
-  replay profiler, now tagged with the ``backend`` that produced the
-  stages it times.
+  replay profiler, tagged with the ``backend`` that produced the stages
+  it times; :meth:`PlanProfile.lap` is the sub-stage hook GEMM stages
+  call to split their time into ``im2col`` / ``gemm`` / ``epilogue``.
 
-Nothing in this module touches numpy kernels at replay time — the
-workspaces are plain arrays the backends capture however they like — so
-extracting it is a pure refactor: the numpy closures issue the same
-kernels on the same buffers in the same order as before.
+Nothing in this module touches numpy kernels at replay time: the
+workspaces are plain arrays the backends capture however they like.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ class _Block:
     def __init__(self, nbytes: int):
         self.raw = np.empty(nbytes, dtype=np.uint8)
         self.nbytes = nbytes
-        self.alive: set = set()  # vids currently backed by this block
+        self.alive: set = set()  # keys currently backed by this block
         self.pinned = False  # never recycled (e.g. aliased by a generic op)
 
     def view(self, shape: Tuple[int, ...], dtype) -> np.ndarray:
@@ -83,6 +82,62 @@ class _Arena:
     def release(self, block: _Block) -> None:
         if not block.pinned:
             self._free.append(block)
+
+
+class _Liveness:
+    """Arena ownership by key, freed in program order.
+
+    ``last_use`` maps every key (a value id, or a tuple naming a saved
+    buffer or gradient) to the last program position that reads it.  A
+    block stays allocated while any key aliased to it (views, in-place
+    outputs) is alive; :meth:`advance` releases the keys dying at one
+    position, in ``last_use`` insertion order.
+    """
+
+    def __init__(self, last_use: Dict[object, int]):
+        self.arena = _Arena()
+        self.last_use = last_use
+        self._blocks: Dict[object, _Block] = {}
+        self._dying: Dict[int, List[object]] = {}
+        for key, pos in last_use.items():
+            self._dying.setdefault(pos, []).append(key)
+
+    def alloc(self, key, shape: Tuple[int, ...], dtype) -> np.ndarray:
+        block, view = self.arena.alloc(shape, dtype)
+        block.alive.add(key)
+        self._blocks[key] = block
+        return view
+
+    def join(self, key, src_key) -> None:
+        """``key`` aliases ``src_key``'s block: keep it alive for both."""
+        block = self._blocks.get(src_key)
+        if block is not None:
+            block.alive.add(key)
+            self._blocks[key] = block
+
+    def pin(self, key) -> None:
+        """Never recycle ``key``'s block (an op output may view it)."""
+        block = self._blocks.get(key)
+        if block is not None:
+            block.pinned = True
+
+    def sole_owner(self, key, pos: int) -> bool:
+        """``key`` alone holds its block and dies at ``pos``."""
+        block = self._blocks.get(key)
+        return (
+            block is not None
+            and not block.pinned
+            and block.alive == {key}
+            and self.last_use[key] == pos
+        )
+
+    def advance(self, pos: int) -> None:
+        for key in self._dying.get(pos, ()):
+            block = self._blocks.pop(key, None)
+            if block is not None:
+                block.alive.discard(key)
+                if not block.alive:
+                    self.arena.release(block)
 
 
 @dataclass
@@ -145,7 +200,7 @@ def lower_conv(
     compute_dtype,
     x_dtype,
 ) -> ConvLowering:
-    """The shared conv lowering both plans previously duplicated inline."""
+    """One conv layer's im2col geometry and gather workspaces."""
     n, c, h, w = x_shape
     f_out, _, kh, kw = weight_shape
     out_h = _conv_output_size(h, kh, stride[0], padding[0])
@@ -213,7 +268,7 @@ def lower_pool(
     padding: Tuple[int, int],
     x_dtype,
 ) -> PoolLowering:
-    """The shared max-pool lowering both plans previously duplicated."""
+    """One max-pool layer's window geometry and gather workspaces."""
     n, c, h, w = x_shape
     _, _, out_h, out_w = out_shape
     p_total = out_h * out_w
@@ -243,19 +298,17 @@ def lower_pool(
 class PlanProfile:
     """Opt-in per-op timing of a compiled plan's replays.
 
-    Created only when a plan is compiled with ``profile=True`` — the
-    default replay path never touches it (the closures are built without
-    any timing code, so disabled profiling costs nothing).  ``op_ms``
-    buckets total milliseconds by stage label (e.g. ``"conv+bn+relu"``,
-    ``"fwd:conv"``; stages a codegen backend rendered are prefixed with
-    the backend name, ``"cgen:conv+bn+relu"``, so profiled runs
-    distinguish rendered from fallback stages); ``bucket_ms`` decomposes
-    the numpy GEMM stages into their ``im2col`` / ``gemm`` / ``epilogue``
-    phases (a stage's phases sum to its ``op_ms`` entry, so the
-    decomposition reconciles — rendered C stages execute as one fused
-    kernel and contribute no buckets).  ``backend`` names the
-    :class:`~repro.engine.backends.base.PlanBackend` that lowered the
-    plan.
+    Created only when a plan is compiled with ``profile=True``; the
+    default replay path never touches it.  ``op_ms`` buckets total
+    milliseconds by stage label (e.g. ``"conv+bn+relu"``, ``"fwd:conv"``;
+    stages a codegen backend rendered are prefixed with the backend name,
+    ``"cgen:conv+bn+relu"``, so profiled runs distinguish rendered from
+    fallback stages).  ``bucket_ms`` decomposes the numpy GEMM stages
+    into their ``im2col`` / ``gemm`` / ``epilogue`` phases through
+    :meth:`lap` (a stage's phases sum to its ``op_ms`` entry; rendered C
+    stages execute as one fused kernel and contribute no buckets).
+    ``backend`` names the :class:`~repro.engine.backends.base.PlanBackend`
+    that lowered the plan.
     """
 
     op_ms: Dict[str, float] = field(default_factory=dict)
@@ -263,6 +316,9 @@ class PlanProfile:
     bucket_ms: Dict[str, float] = field(default_factory=dict)
     runs: int = 0
     backend: str = "numpy"
+    # start of the stage phase being timed: set by _timed_step, moved
+    # forward by lap()
+    mark: float = field(default=0.0, init=False, repr=False, compare=False)
 
     def add_op(self, label: str, seconds: float) -> None:
         self.op_ms[label] = self.op_ms.get(label, 0.0) + 1e3 * seconds
@@ -270,6 +326,12 @@ class PlanProfile:
 
     def add_bucket(self, name: str, seconds: float) -> None:
         self.bucket_ms[name] = self.bucket_ms.get(name, 0.0) + 1e3 * seconds
+
+    def lap(self, bucket: str) -> None:
+        """Bill the time since the last mark to ``bucket`` (sub-stage hook)."""
+        now = time.perf_counter()
+        self.add_bucket(bucket, now - self.mark)
+        self.mark = now
 
     def summary(self) -> Dict[str, object]:
         total = sum(self.op_ms.values())
@@ -285,11 +347,15 @@ class PlanProfile:
         }
 
 
+def _no_lap(bucket: str) -> None:
+    """The sub-stage hook of stages nobody profiles."""
+
+
 def _timed_step(step, label: str, profile: PlanProfile):
     """Wrap one replay closure with per-call timing into ``profile``."""
 
     def timed():
-        t0 = time.perf_counter()
+        t0 = profile.mark = time.perf_counter()
         step()
         profile.add_op(label, time.perf_counter() - t0)
 

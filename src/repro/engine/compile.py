@@ -8,9 +8,10 @@ plan with zero autograd bookkeeping and no steady-state allocation.  A
 new input shape (e.g. a different fleet batch size) transparently
 retraces — plans are cached per ``(shape, dtype)``.
 
-:class:`CompiledAdaptStep` is the training-side twin: a cache of
-:class:`~repro.engine.adapt_plan.AdaptationPlan` objects keyed by
-``(shape, dtype, groups)``, tracing the entropy step on demand.
+:class:`CompiledAdaptStep` caches the adaptation plans the same lowering
+pass builds from a traced entropy step
+(:class:`~repro.engine.adapt_plan.AdaptationPlan`), keyed by ``(shape,
+dtype, groups)``.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ def compile_model(model, profile: bool = False,
     """Return a compiled, replayable inference callable for ``model``.
 
     ``profile=True`` compiles every plan with per-op timing
-    (:class:`~repro.engine.plan.PlanProfile`); the default compiles
+    (:class:`~repro.engine.backends.core.PlanProfile`); the default compiles
     closures with no timing code at all.  ``backend`` selects the plan
     lowering — a registry name (``"numpy"``, ``"cgen"``,
     ``"cgen-strict"``), a :class:`~repro.engine.backends.PlanBackend`

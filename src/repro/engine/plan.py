@@ -1,38 +1,44 @@
-"""Compile a :class:`~repro.engine.tracer.TraceGraph` into a replayable plan.
+"""Lower a :class:`~repro.engine.tracer.TraceGraph` into a replayable plan.
 
-The plan is a flat list of zero-argument closures ("stages"), each writing
-into buffers fixed at compile time.  Three optimizations make replay fast
-while staying **bit-exact** with the eager autograd path (every stage
-issues the same numpy kernels on the same values in the same order — only
-the bookkeeping around them is removed):
+One lowering pass builds both plan kinds.  :class:`ExecutionPlan` is the
+traced forward with eval-mode BN and no backward;
+:class:`~repro.engine.adapt_plan.AdaptationPlan` is the same forward with
+train-mode BN plus the pruned BN-only backward.  Either way the plan is
+one flat list of zero-argument closures ("stages") writing into buffers
+fixed at compile time, and replay stays **bit-exact** with the eager
+autograd path: every stage issues the same numpy kernels on the same
+values in the same order, only the bookkeeping around them is removed.
 
-* **Fusion** — a ``conv -> eval-BN -> relu`` chain (and ``linear -> relu``)
-  becomes one stage: im2col-GEMM via ``np.matmul(..., out=)`` into the
-  stage's arena buffer, then the BN affine and ReLU applied in place as a
-  GEMM epilogue.  The BN constants are re-folded from the module's *live*
-  state on every replay (O(C) work), so LD-BN-ADAPT updates and the
-  per-sample ``(scale, shift)`` fleet override need no retrace.
-* **Arena buffer reuse** — liveness analysis assigns op outputs to a pool
-  of byte arenas; a buffer is recycled as soon as the last consumer of
-  every value aliased to it has run.  Steady-state replays allocate
-  nothing beyond tiny per-channel fold vectors.
+* **Fusion** (no backward only) — a ``conv -> eval-BN -> relu`` chain
+  (and ``linear -> relu``) becomes one stage: im2col-GEMM via
+  ``np.matmul(..., out=)`` into the stage's arena buffer, then the BN
+  affine and ReLU applied in place as a GEMM epilogue.  The BN constants
+  are re-folded from the module's *live* state on every replay (O(C)
+  work), so LD-BN-ADAPT updates and the per-sample ``(scale, shift)``
+  fleet override need no retrace.  A plan with a backward keeps every op
+  its own stage, because the backward reads the unfused intermediates.
+* **Arena buffer reuse** — one liveness pass over program positions
+  (forward ``0..n-1``, the backward of node ``i`` at ``2n-1-i``) assigns
+  op outputs, saved-for-backward buffers and gradients to a pool of byte
+  arenas (:class:`~repro.engine.backends.core._Liveness`); a buffer is
+  recycled as soon as every value aliased to it is dead.  Without a
+  backward, relu/add may also write in place into a dying input.
+  Steady-state replays allocate nothing beyond tiny per-channel vectors.
 * **Cached im2col workspaces** — gather indices, padded-image buffers and
   column matrices are precomputed per conv/pool layer for the traced
   input shape; replays gather with ``np.take(..., out=)`` instead of
   rebuilding indices and materializing fresh columns.
 
-The arena/liveness/workspace machinery lives in
-:mod:`repro.engine.backends.core` (shared with the adaptation plan); a
-codegen backend may pass a *renderer* that is offered every stage as it
-is lowered and replaces the accepted ones with compiled-kernel calls at
-finalize time — see :mod:`repro.engine.backends.cgen`.  Without a
-renderer this module is the pure numpy-closure backend and no autograd
-``Context`` (or ``Tensor``) is allocated anywhere on the replay path.
+A codegen backend may pass a *renderer*: every lowered stage is offered
+to it along with its numpy closure, and at finalize time it replaces the
+accepted ones with compiled-kernel calls, see
+:mod:`repro.engine.backends.cgen`.  Without a renderer the plan is the
+pure numpy-closure backend and no autograd ``Context`` (or ``Tensor``)
+is allocated anywhere on the replay path.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -42,11 +48,10 @@ from ..nn import functional as F
 from ..nn import tensor as T
 from ..nn.functional import _pair
 from ..nn.tensor import Context
-from .backends.core import (  # noqa: F401  (re-exported for compatibility)
-    _ALIGN,
-    _Arena,
-    _Block,
+from .backends.core import (
     PlanProfile,
+    _Liveness,
+    _no_lap,
     _timed_step,
     lower_conv,
     lower_pool,
@@ -58,13 +63,50 @@ from .tracer import ConstRef, OpNode, TraceGraph, ValueRef
 class PlanStats:
     """Introspection summary of a compiled plan."""
 
-    num_ops: int  # traced nodes
-    num_stages: int  # replay closures (fused chains collapse)
+    num_ops: int  # traced nodes (adaptation: forward incl. loss)
+    num_stages: int  # forward stages (fused chains collapse)
     fused_stages: int  # stages covering more than one traced node
+    backward_stages: int  # emitted backward stages (pruned program)
+    skipped_backward: int  # traced nodes with no surviving gradient path
     arena_blocks: int
     arena_bytes: int  # bytes actually held by the arena
-    requested_bytes: int  # bytes the ops would allocate without reuse
+    requested_bytes: int  # bytes the buffers would take without reuse
     workspace_bytes: int  # dedicated im2col/pool workspaces
+
+
+_KINDS = {
+    F._Conv2d: "conv",
+    F._Linear: "linear",
+    F._MaxPool2d: "maxpool",
+    F._ReLU: "relu",
+    F._LogSoftmax: "logsoftmax",
+    T.Add: "add",
+    T.Mul: "mul",
+    T.Exp: "exp",
+    T.Neg: "neg",
+    T.Sum: "sum",
+    T.Mean: "mean",
+    T.Reshape: "reshape",
+    T.Transpose: "transpose",
+}
+
+
+def _kind(node: OpNode) -> str:
+    if node.module is not None:
+        return "bn"
+    return _KINDS.get(node.function, "generic")
+
+
+def _label(node: OpNode) -> str:
+    kind = _kind(node)
+    if kind == "generic":
+        return getattr(node.function, "__name__", "generic").lower()
+    return kind
+
+
+def _consumes(node: OpNode, vid: int) -> bool:
+    ref = node.inputs[0]
+    return isinstance(ref, ValueRef) and ref.vid == vid
 
 
 def _bn_epilogue(buf3: np.ndarray, module, n: int) -> None:
@@ -99,19 +141,17 @@ def _bn_epilogue(buf3: np.ndarray, module, n: int) -> None:
         buf3 += module.bias.data.reshape(1, c, 1)
 
 
-class ExecutionPlan:
-    """Executable form of one traced forward at one input shape.
+class _Plan:
+    """The lowering pass and replay loop both plan kinds share.
 
-    ``run`` returns a view into plan-owned storage: the contents are
-    overwritten by the next ``run`` call, so copy if you need to keep a
-    result across frames (serving loops decode immediately and don't).
-
-    ``renderer`` (optional) is a codegen backend's stage renderer: every
-    lowered stage is *offered* to it along with the numpy closure; at the
-    end of compilation :meth:`finalize` replaces accepted stages with
-    compiled-kernel calls (declined or parity-demoted stages keep their
-    numpy closures, so fallback is per-stage and structural).
+    Subclasses choose the op kinds they lower (:attr:`_LOWERED`), whether
+    the program has a backward (:attr:`_BACKWARD`), and supply the BN
+    lowering plus, for adaptation, the backward program.
     """
+
+    _LOWERED = frozenset()
+    _BACKWARD = False
+    _NOUN = "plan"
 
     def __init__(self, graph: TraceGraph, profile: bool = False,
                  renderer=None):
@@ -119,16 +159,22 @@ class ExecutionPlan:
         self._input_vid = graph.input_vid
         self._steps: List[Callable[[], None]] = []
         self._slots: Dict[int, np.ndarray] = {}
-        self._input_cell: List[Optional[np.ndarray]] = [None]
         self._fixed: Dict[int, np.ndarray] = {}
+        self._input_cell: List[Optional[np.ndarray]] = [None]
         self._renderer = renderer
         self._pre_replay: Optional[Callable[[np.ndarray], np.ndarray]] = None
         self.backend_info: Dict[str, object] = {"backend": "numpy"}
         # opt-in profiling must be chosen at compile time: the traced
         # graph is dropped after compilation, so closures cannot be
-        # re-instrumented later — and the unprofiled closures carry zero
-        # timing code, keeping the disabled path cost-free
+        # re-instrumented later — and unprofiled stages are never wrapped,
+        # keeping the disabled path cost-free
         self.profile: Optional[PlanProfile] = PlanProfile() if profile else None
+        # rendered plans time whole stages only: a C kernel has no phases
+        self._lap = (
+            self.profile.lap
+            if self.profile is not None and renderer is None
+            else _no_lap
+        )
         self._compile(graph)
         if renderer is not None:
             self.backend_info = renderer.finalize(self, graph)
@@ -159,6 +205,13 @@ class ExecutionPlan:
         value = ref
         return lambda: value
 
+    def _ref_shape_dtype(self, ref):
+        if isinstance(ref, ValueRef):
+            return self._shapes[ref.vid], self._dtypes[ref.vid]
+        if isinstance(ref, ConstRef):
+            return tuple(ref.tensor.shape), ref.tensor.data.dtype
+        return None, None
+
     def _render_source(self, ref):
         """Classify a stage input for the renderer.
 
@@ -178,7 +231,7 @@ class ExecutionPlan:
             return ("const", ref.tensor)
         return None
 
-    def _offer(self, kind: str, spec: dict, fallback):
+    def _offer(self, kind: str, spec: dict, fallback) -> None:
         """Offer one lowered stage to the renderer; append the step."""
         step = fallback
         if self._renderer is not None:
@@ -187,162 +240,103 @@ class ExecutionPlan:
                 step = placed
         self._steps.append(step)
 
-    def _ref_shape_dtype(self, ref, shapes, dtypes):
-        if isinstance(ref, ValueRef):
-            return shapes[ref.vid], dtypes[ref.vid]
-        if isinstance(ref, ConstRef):
-            return tuple(ref.tensor.shape), ref.tensor.data.dtype
-        return None, None
+    def _note(self, before: int, label: str) -> None:
+        """Label the steps one lowering appended (for profiling)."""
+        if self._renderer is not None:
+            # profiling wraps happen at finalize (the renderer decides
+            # per stage whether the C kernel or the numpy fallback
+            # survived)
+            self._renderer.note_stage(before, len(self._steps), label)
+        elif self.profile is not None:
+            for pos in range(before, len(self._steps)):
+                self._steps[pos] = _timed_step(
+                    self._steps[pos], label, self.profile
+                )
+
+    def _alias(self, vid: int, array: np.ndarray, src_vid: int) -> None:
+        """Register ``array`` as ``vid``, sharing ``src_vid``'s buffer."""
+        self._fixed[vid] = array
+        self._mem.join(vid, src_vid)
+
+    # -- hooks the adaptation plan fills in -----------------------------
+    def _stage_kind(self, node: OpNode) -> str:
+        kind = _kind(node)
+        return kind if kind in self._LOWERED else "generic"
+
+    def _plan_backward(self, graph: TraceGraph, kinds: List[str]) -> int:
+        """Prune the backward program; return the program length."""
+        return len(graph.nodes)
+
+    def _backward_uses(self, index: int, node: OpNode, kind: str,
+                       use) -> None:
+        """Record the backward program's reads of node ``index``."""
+
+    def _lower_backward(self, nodes: List[OpNode], kinds: List[str]) -> int:
+        """Emit the backward stages; return how many were emitted."""
+        return 0
 
     # -- compilation ----------------------------------------------------
     def _compile(self, graph: TraceGraph) -> None:
         nodes = graph.nodes
+        num = len(nodes)
+        kinds = [self._stage_kind(node) for node in nodes]
         shapes: Dict[int, Tuple[int, ...]] = {graph.input_vid: graph.input_shape}
         dtypes: Dict[int, np.dtype] = {graph.input_vid: graph.input_dtype}
         consumers: Dict[int, int] = {}
-        last_use: Dict[int, int] = {}
-        for index, node in enumerate(nodes):
+        for node in nodes:
             shapes[node.out_vid] = node.out_shape
             dtypes[node.out_vid] = node.out_dtype
-            last_use.setdefault(node.out_vid, index)  # dead outputs die at birth
             for ref in node.inputs:
                 if isinstance(ref, ValueRef):
                     consumers[ref.vid] = consumers.get(ref.vid, 0) + 1
-                    last_use[ref.vid] = index
-        last_use[graph.output_vid] = len(nodes)  # plan output never dies
+        self._shapes, self._dtypes = shapes, dtypes
+        length = self._plan_backward(graph, kinds)
 
-        dying: Dict[int, List[int]] = {}
-        for vid, where in last_use.items():
-            dying.setdefault(where, []).append(vid)
+        # -- liveness over program positions ----------------------------
+        last_use: Dict[object, int] = {}
 
-        arena = _Arena()
-        self._arena = arena
-        blocks: Dict[int, _Block] = {}
-        workspace_bytes = [0]
-        fused = 0
-        num_stages = 0
+        def use(key, pos: int) -> None:
+            last_use[key] = max(last_use.get(key, -1), pos)
 
-        def release_after(start: int, end: int) -> None:
-            for where in range(start, end + 1):
-                for vid in dying.get(where, ()):
-                    block = blocks.get(vid)
-                    if block is not None:
-                        block.alive.discard(vid)
-                        if not block.alive:
-                            arena.release(block)
-
-        def pin_inputs(node: OpNode) -> None:
-            # a generic op's output may be a view of any tensor input;
-            # its blocks must never be recycled under it
+        for index, node in enumerate(nodes):
+            use(node.out_vid, index)  # dead outputs die at birth
             for ref in node.inputs:
                 if isinstance(ref, ValueRef):
-                    block = blocks.get(ref.vid)
-                    if block is not None:
-                        block.pinned = True
+                    use(ref.vid, index)
+            self._backward_uses(index, node, kinds[index], use)
+        use(graph.output_vid, length)  # the plan output never dies
+        self._mem = _Liveness(last_use)
+        self._workspace = 0
+        self._saved: Dict[int, object] = {}
 
-        def can_write_inplace(vid: int, end: int, shape, dtype) -> bool:
-            block = blocks.get(vid)
-            return (
-                block is not None
-                and not block.pinned
-                and block.alive == {vid}
-                and last_use[vid] == end
-                and self._fixed.get(vid) is not None
-                and shapes[vid] == shape
-                and dtypes[vid] == dtype
-            )
-
-        index = 0
-        while index < len(nodes):
-            node = nodes[index]
-            kind = self._kind(node)
-            end = index
+        # -- forward ----------------------------------------------------
+        index = num_stages = fused = 0
+        while index < num:
+            node, kind = nodes[index], kinds[index]
+            fuse: Dict[str, OpNode] = {}
+            if kind in ("conv", "linear") and not self._BACKWARD:
+                x_dtype = self._ref_shape_dtype(node.inputs[0])[1]
+                w_dtype = self._ref_shape_dtype(node.inputs[1])[1]
+                if np.result_type(x_dtype, w_dtype) != node.out_dtype:
+                    kind = "generic"
+                else:
+                    fuse = self._epilogue(
+                        nodes, kinds, index, consumers, graph.output_vid
+                    )
             before = len(self._steps)
-
-            if kind == "conv" or kind == "linear":
-                bn_node = relu_node = None
-                x_ref = node.inputs[0]
-                _, x_dtype = self._ref_shape_dtype(x_ref, shapes, dtypes)
-                w_shape, w_dtype = self._ref_shape_dtype(
-                    node.inputs[1], shapes, dtypes
-                )
-                gemm_dtype = np.result_type(x_dtype, w_dtype)
-                if gemm_dtype == node.out_dtype:
-                    scan = index + 1
-                    if (
-                        kind == "conv"
-                        and scan < len(nodes)
-                        and self._kind(nodes[scan]) == "bn"
-                        and self._consumes(nodes[scan], node.out_vid)
-                        and consumers.get(node.out_vid, 0) == 1
-                        and node.out_vid != graph.output_vid
-                        and nodes[scan].out_dtype == node.out_dtype
-                    ):
-                        bn_node = nodes[scan]
-                        scan += 1
-                    tail = bn_node if bn_node is not None else node
-                    if (
-                        scan < len(nodes)
-                        and self._kind(nodes[scan]) == "relu"
-                        and self._consumes(nodes[scan], tail.out_vid)
-                        and consumers.get(tail.out_vid, 0) == 1
-                        and tail.out_vid != graph.output_vid
-                        and nodes[scan].out_dtype == tail.out_dtype
-                    ):
-                        relu_node = nodes[scan]
-                        scan += 1
-                    end = scan - 1
-                    builder = (
-                        self._build_conv_stage
-                        if kind == "conv"
-                        else self._build_linear_stage
-                    )
-                    builder(
-                        node, bn_node, relu_node, shapes, dtypes, arena,
-                        blocks, workspace_bytes,
-                    )
-                    if end > index:
-                        fused += 1
-                else:
-                    self._build_generic_stage(node)
-                    pin_inputs(node)
-            elif kind == "maxpool":
-                self._build_maxpool_stage(
-                    node, shapes, dtypes, arena, blocks, workspace_bytes
-                )
-            elif kind == "relu":
-                self._build_relu_stage(
-                    node, shapes, dtypes, arena, blocks, can_write_inplace, index
-                )
-            elif kind == "add":
-                self._build_add_stage(
-                    node, shapes, dtypes, arena, blocks, can_write_inplace, index
-                )
-            elif kind in ("reshape", "transpose"):
-                self._build_view_stage(node, kind, blocks)
-            elif kind == "bn":
-                self._build_bn_stage(node, shapes, dtypes)
-            else:
-                self._build_generic_stage(node)
-                pin_inputs(node)
-
+            getattr(self, "_lower_" + kind)(index, node, **fuse)
+            chain = [node, *fuse.values()]
+            end = index + len(chain) - 1
             num_stages += 1
+            fused += end > index
             if self.profile is not None or self._renderer is not None:
-                label = "+".join(
-                    self._stage_label(nodes[i]) for i in range(index, end + 1)
-                )
-                if self._renderer is not None:
-                    # profiling wraps happen at finalize (the renderer
-                    # decides per stage whether the C kernel or the numpy
-                    # fallback survived)
-                    self._renderer.note_stage(before, len(self._steps), label)
-                else:
-                    for pos in range(before, len(self._steps)):
-                        self._steps[pos] = _timed_step(
-                            self._steps[pos], label, self.profile
-                        )
-            release_after(index, end)
+                label = "+".join(_label(n) for n in chain)
+                self._note(before, "fwd:" + label if self._BACKWARD else label)
+            for pos in range(index, end + 1):
+                self._mem.advance(pos)
             index = end + 1
+
+        backward_stages = self._lower_backward(nodes, kinds)
 
         out_fixed = self._fixed.get(graph.output_vid)
         if out_fixed is not None:
@@ -351,61 +345,69 @@ class ExecutionPlan:
             slots, ovid = self._slots, graph.output_vid
             self._fetch_output = lambda: slots[ovid]
 
+        arena = self._mem.arena
         self.stats = PlanStats(
-            num_ops=len(nodes),
+            num_ops=num,
             num_stages=num_stages,
             fused_stages=fused,
+            backward_stages=backward_stages,
+            skipped_backward=num - backward_stages,
             arena_blocks=len(arena.blocks),
             arena_bytes=arena.total_bytes,
             requested_bytes=arena.requested_bytes,
-            workspace_bytes=workspace_bytes[0],
+            workspace_bytes=self._workspace,
         )
+        # compile-time state only: replay closures captured what they need
+        del self._mem, self._saved, self._workspace, self._shapes, self._dtypes
 
-    @staticmethod
-    def _kind(node: OpNode) -> str:
-        if node.module is not None:
-            return "bn"
-        fn = node.function
-        if fn is F._Conv2d:
-            return "conv"
-        if fn is F._Linear:
-            return "linear"
-        if fn is F._MaxPool2d:
-            return "maxpool"
-        if fn is F._ReLU:
-            return "relu"
-        if fn is T.Add:
-            return "add"
-        if fn is T.Reshape:
-            return "reshape"
-        if fn is T.Transpose:
-            return "transpose"
-        return "generic"
+    def _epilogue(self, nodes, kinds, index, consumers,
+                  output_vid) -> Dict[str, OpNode]:
+        """The eval-BN/ReLU nodes that fuse behind the GEMM at ``index``.
 
-    @classmethod
-    def _stage_label(cls, node: OpNode) -> str:
-        kind = cls._kind(node)
-        if kind == "generic":
-            return getattr(node.function, "__name__", "generic").lower()
-        return kind
+        BN fuses behind conv only (BatchNorm1d after Linear would need a
+        2-D epilogue).  A node fuses when it is the sole consumer of the
+        chain's tail, the tail is not the plan output, and dtypes agree.
+        """
+        fuse: Dict[str, OpNode] = {}
+        tail, scan = nodes[index], index + 1
+        for kind in ("bn", "relu"):
+            if kind == "bn" and kinds[index] != "conv":
+                continue
+            if (
+                scan < len(nodes)
+                and kinds[scan] == kind
+                and _consumes(nodes[scan], tail.out_vid)
+                and consumers.get(tail.out_vid, 0) == 1
+                and tail.out_vid != output_vid
+                and nodes[scan].out_dtype == tail.out_dtype
+            ):
+                tail = fuse[kind + "_node"] = nodes[scan]
+                scan += 1
+        return fuse
 
-    @staticmethod
-    def _consumes(node: OpNode, vid: int) -> bool:
-        ref = node.inputs[0]
-        return isinstance(ref, ValueRef) and ref.vid == vid
+    def _inplace_target(self, index: int, node: OpNode,
+                        refs) -> Optional[np.ndarray]:
+        """A dying input buffer the stage may overwrite (no backward only:
+        the backward reads forward values)."""
+        if self._BACKWARD:
+            return None
+        for ref in refs:
+            if (
+                isinstance(ref, ValueRef)
+                and self._mem.sole_owner(ref.vid, index)
+                and self._fixed.get(ref.vid) is not None
+                and self._shapes[ref.vid] == node.out_shape
+                and self._dtypes[ref.vid] == node.out_dtype
+            ):
+                buf = self._fixed[ref.vid]
+                self._alias(node.out_vid, buf, ref.vid)
+                return buf
+        return None
 
-    def _register(self, vid: int, array: np.ndarray, block: Optional[_Block],
-                  blocks: Dict[int, _Block]) -> None:
-        self._fixed[vid] = array
-        if block is not None:
-            block.alive.add(vid)
-            blocks[vid] = block
-
-    # -- stage builders -------------------------------------------------
-    def _build_conv_stage(self, node, bn_node, relu_node, shapes, dtypes,
-                          arena, blocks, workspace_bytes):
+    # -- forward stage builders ----------------------------------------
+    def _lower_conv(self, index, node, bn_node=None, relu_node=None):
         x_ref = node.inputs[0]
-        x_shape, x_dtype = self._ref_shape_dtype(x_ref, shapes, dtypes)
+        x_shape, x_dtype = self._ref_shape_dtype(x_ref)
         weight = node.inputs[1].tensor
         bias_ref = node.inputs[2]
         bias = bias_ref.tensor if isinstance(bias_ref, ConstRef) else None
@@ -419,70 +421,41 @@ class ExecutionPlan:
         f_out, p_total, k_total = geo.f_out, geo.p_total, geo.k_total
         identity_cols = geo.identity_cols
         padded, core, cols, flat = geo.padded, geo.core, geo.cols, geo.flat
-        workspace_bytes[0] += geo.workspace_nbytes
+        self._workspace += geo.workspace_nbytes
+        self._saved[index] = geo
 
-        block, out3 = arena.alloc((n, f_out, p_total), geo.compute_dtype)
         out_vid = (relu_node or bn_node or node).out_vid
-        out4 = out3.reshape(n, f_out, geo.out_h, geo.out_w)
-        self._register(out_vid, out4, block, blocks)
+        out3 = self._mem.alloc(out_vid, (n, f_out, p_total), geo.compute_dtype)
+        self._fixed[out_vid] = out3.reshape(n, f_out, geo.out_h, geo.out_w)
 
         get_x = self._getter(x_ref)
         bn_module = bn_node.module if bn_node is not None else None
         fuse_relu = relu_node is not None
+        lap = self._lap
 
-        if self.profile is None or self._renderer is not None:
-
-            def run():
-                x = get_x()
-                if padded is not None:
-                    core[...] = x
-                    np.take(padded.reshape(n, -1), flat, axis=1, out=cols,
-                            mode="clip")
-                    cc = cols
-                elif identity_cols:
-                    cc = x.reshape(n, c, p_total)
-                else:
-                    np.take(x.reshape(n, -1), flat, axis=1, out=cols,
-                            mode="clip")
-                    cc = cols
-                np.matmul(weight.data.reshape(f_out, k_total), cc, out=out3)
-                if bias is not None:
-                    np.add(out3, bias.data.reshape(1, -1, 1), out=out3)
-                if bn_module is not None:
-                    _bn_epilogue(out3, bn_module, n)
-                if fuse_relu:
-                    np.maximum(out3, 0.0, out=out3)
-
-        else:
-            profile = self.profile
-
-            def run():
-                t0 = time.perf_counter()
-                x = get_x()
-                if padded is not None:
-                    core[...] = x
-                    np.take(padded.reshape(n, -1), flat, axis=1, out=cols,
-                            mode="clip")
-                    cc = cols
-                elif identity_cols:
-                    cc = x.reshape(n, c, p_total)
-                else:
-                    np.take(x.reshape(n, -1), flat, axis=1, out=cols,
-                            mode="clip")
-                    cc = cols
-                t1 = time.perf_counter()
-                np.matmul(weight.data.reshape(f_out, k_total), cc, out=out3)
-                t2 = time.perf_counter()
-                if bias is not None:
-                    np.add(out3, bias.data.reshape(1, -1, 1), out=out3)
-                if bn_module is not None:
-                    _bn_epilogue(out3, bn_module, n)
-                if fuse_relu:
-                    np.maximum(out3, 0.0, out=out3)
-                t3 = time.perf_counter()
-                profile.add_bucket("im2col", t1 - t0)
-                profile.add_bucket("gemm", t2 - t1)
-                profile.add_bucket("epilogue", t3 - t2)
+        def run():
+            x = get_x()
+            if padded is not None:
+                core[...] = x
+                np.take(padded.reshape(n, -1), flat, axis=1, out=cols,
+                        mode="clip")
+                cc = cols
+            elif identity_cols:
+                cc = x.reshape(n, c, p_total)
+            else:
+                np.take(x.reshape(n, -1), flat, axis=1, out=cols,
+                        mode="clip")
+                cc = cols
+            lap("im2col")
+            np.matmul(weight.data.reshape(f_out, k_total), cc, out=out3)
+            lap("gemm")
+            if bias is not None:
+                np.add(out3, bias.data.reshape(1, -1, 1), out=out3)
+            if bn_module is not None:
+                _bn_epilogue(out3, bn_module, n)
+            if fuse_relu:
+                np.maximum(out3, 0.0, out=out3)
+            lap("epilogue")
 
         self._offer(
             "conv",
@@ -493,50 +466,29 @@ class ExecutionPlan:
             run,
         )
 
-    def _build_linear_stage(self, node, bn_node, relu_node, shapes, dtypes,
-                            arena, blocks, workspace_bytes):
-        # bn fusion after linear is not emitted (BatchNorm1d after Linear
-        # would need the 2-D epilogue); the scan never pairs them because
-        # _build path only fuses bn behind conv.
-        del bn_node, workspace_bytes
+    def _lower_linear(self, index, node, relu_node=None):
         x_ref = node.inputs[0]
-        x_shape, x_dtype = self._ref_shape_dtype(x_ref, shapes, dtypes)
+        x_shape, x_dtype = self._ref_shape_dtype(x_ref)
         weight = node.inputs[1].tensor
         bias_ref = node.inputs[2]
         bias = bias_ref.tensor if isinstance(bias_ref, ConstRef) else None
-        n = x_shape[0]
-        out_features = weight.shape[0]
 
-        block, out2 = arena.alloc((n, out_features), node.out_dtype)
         out_vid = (relu_node or node).out_vid
-        self._register(out_vid, out2, block, blocks)
+        out2 = self._mem.alloc(out_vid, node.out_shape, node.out_dtype)
+        self._fixed[out_vid] = out2
 
         get_x = self._getter(x_ref)
         fuse_relu = relu_node is not None
+        lap = self._lap
 
-        if self.profile is None or self._renderer is not None:
-
-            def run():
-                np.matmul(get_x(), weight.data.T, out=out2)
-                if bias is not None:
-                    np.add(out2, bias.data, out=out2)
-                if fuse_relu:
-                    np.maximum(out2, 0.0, out=out2)
-
-        else:
-            profile = self.profile
-
-            def run():
-                t0 = time.perf_counter()
-                np.matmul(get_x(), weight.data.T, out=out2)
-                t1 = time.perf_counter()
-                if bias is not None:
-                    np.add(out2, bias.data, out=out2)
-                if fuse_relu:
-                    np.maximum(out2, 0.0, out=out2)
-                t2 = time.perf_counter()
-                profile.add_bucket("gemm", t1 - t0)
-                profile.add_bucket("epilogue", t2 - t1)
+        def run():
+            np.matmul(get_x(), weight.data.T, out=out2)
+            lap("gemm")
+            if bias is not None:
+                np.add(out2, bias.data, out=out2)
+            if fuse_relu:
+                np.maximum(out2, 0.0, out=out2)
+            lap("epilogue")
 
         self._offer(
             "linear",
@@ -548,10 +500,9 @@ class ExecutionPlan:
             run,
         )
 
-    def _build_maxpool_stage(self, node, shapes, dtypes, arena, blocks,
-                             workspace_bytes):
+    def _lower_maxpool(self, index, node):
         x_ref = node.inputs[0]
-        x_shape, x_dtype = self._ref_shape_dtype(x_ref, shapes, dtypes)
+        x_shape, x_dtype = self._ref_shape_dtype(x_ref)
         kernel = _pair(node.inputs[1])
         stride = _pair(node.inputs[2] if node.inputs[2] is not None else kernel)
         padding = _pair(node.inputs[3])
@@ -562,13 +513,16 @@ class ExecutionPlan:
         n, c, h, w = geo.n, geo.c, geo.h, geo.w
         p_total = geo.p_total
         padded, core, cols, flat = geo.padded, geo.core, geo.cols, geo.flat
-        workspace_bytes[0] += geo.workspace_nbytes
+        self._workspace += geo.workspace_nbytes
+        arg = None
+        if self._BACKWARD:
+            # the backward routes each window's gradient to its argmax
+            arg = self._mem.alloc(("arg", index), (n * c, p_total), np.intp)
+            self._saved[index] = (geo, arg)
 
-        block, out4 = arena.alloc(
-            (n, c, geo.out_h, geo.out_w), node.out_dtype
-        )
+        out4 = self._mem.alloc(node.out_vid, node.out_shape, node.out_dtype)
         out2 = out4.reshape(n * c, p_total)
-        self._register(node.out_vid, out4, block, blocks)
+        self._fixed[node.out_vid] = out4
         get_x = self._getter(x_ref)
 
         def run():
@@ -580,76 +534,68 @@ class ExecutionPlan:
             else:
                 np.take(x.reshape(n * c, -1), flat, axis=1, out=cols,
                         mode="clip")
+            if arg is not None:
+                np.argmax(cols, axis=1, out=arg)
             np.max(cols, axis=1, out=out2)
 
         self._offer(
             "maxpool",
             dict(
                 geo=geo, x_src=self._render_source(x_ref),
-                out_dtype=node.out_dtype, out2=out2,
+                out_dtype=node.out_dtype, out2=out2, arg=arg,
             ),
             run,
         )
 
-    def _build_relu_stage(self, node, shapes, dtypes, arena, blocks,
-                          can_write_inplace, index):
+    def _elementwise_out(self, index, node, refs) -> np.ndarray:
+        out = self._inplace_target(index, node, refs)
+        if out is None:
+            out = self._mem.alloc(node.out_vid, node.out_shape, node.out_dtype)
+            self._fixed[node.out_vid] = out
+        return out
+
+    def _lower_unary(self, index, node):
+        kind = _kind(node)
         x_ref = node.inputs[0]
-        if isinstance(x_ref, ValueRef) and can_write_inplace(
-            x_ref.vid, index, node.out_shape, node.out_dtype
-        ):
-            buf = self._fixed[x_ref.vid]
-            block = blocks[x_ref.vid]
-            self._register(node.out_vid, buf, block, blocks)
-            self._offer(
-                "relu",
-                dict(x_src=("fixed", buf), out=buf, dtype=node.out_dtype),
-                lambda: np.maximum(buf, 0.0, out=buf),
-            )
-            return
-        block, out = arena.alloc(node.out_shape, node.out_dtype)
-        self._register(node.out_vid, out, block, blocks)
+        out = self._elementwise_out(index, node, (x_ref,))
         get_x = self._getter(x_ref)
+        if kind == "relu":
+            run = lambda: np.maximum(get_x(), 0.0, out=out)  # noqa: E731
+        else:
+            ufunc = np.exp if kind == "exp" else np.negative
+            run = lambda: ufunc(get_x(), out=out)  # noqa: E731
         self._offer(
-            "relu",
-            dict(
-                x_src=self._render_source(x_ref), out=out,
-                dtype=node.out_dtype,
-            ),
-            lambda: np.maximum(get_x(), 0.0, out=out),
+            kind,
+            dict(x_src=self._render_source(x_ref), out=out,
+                 dtype=node.out_dtype),
+            run,
         )
 
-    def _build_add_stage(self, node, shapes, dtypes, arena, blocks,
-                         can_write_inplace, index):
+    _lower_relu = _lower_exp = _lower_neg = _lower_unary
+
+    def _lower_binary(self, index, node):
+        kind = _kind(node)
         a_ref, b_ref = node.inputs[0], node.inputs[1]
-        target = block = None
-        for ref in (a_ref, b_ref):
-            if isinstance(ref, ValueRef) and can_write_inplace(
-                ref.vid, index, node.out_shape, node.out_dtype
-            ):
-                target = self._fixed[ref.vid]
-                block = blocks[ref.vid]
-                break
-        if target is None:
-            block, target = arena.alloc(node.out_shape, node.out_dtype)
-        self._register(node.out_vid, target, block, blocks)
+        out = self._elementwise_out(index, node, (a_ref, b_ref))
         get_a, get_b = self._getter(a_ref), self._getter(b_ref)
-        out = target
-        a_shape, _ = self._ref_shape_dtype(a_ref, shapes, dtypes)
-        b_shape, _ = self._ref_shape_dtype(b_ref, shapes, dtypes)
+        ufunc = np.add if kind == "add" else np.multiply
         self._offer(
-            "add",
+            kind,
             dict(
                 a_src=self._render_source(a_ref),
                 b_src=self._render_source(b_ref),
-                a_shape=a_shape, b_shape=b_shape,
+                a_shape=self._ref_shape_dtype(a_ref)[0],
+                b_shape=self._ref_shape_dtype(b_ref)[0],
                 out_shape=node.out_shape, out=out, dtype=node.out_dtype,
             ),
-            lambda: np.add(get_a(), get_b(), out=out),
+            lambda: ufunc(get_a(), get_b(), out=out),
         )
 
-    def _build_view_stage(self, node, kind, blocks):
+    _lower_add = _lower_mul = _lower_binary
+
+    def _lower_view(self, index, node):
         src = node.inputs[0]
-        if kind == "reshape":
+        if _kind(node) == "reshape":
             param = node.kwargs["shape"]
             transform = lambda a: a.reshape(param)  # noqa: E731
         else:
@@ -663,11 +609,14 @@ class ExecutionPlan:
                 # copy would replay stale data, so only precompute when
                 # the result genuinely aliases the live buffer
                 if np.shares_memory(view, fixed):
-                    self._register(
-                        node.out_vid, view, blocks.get(src.vid), blocks
-                    )
+                    self._alias(node.out_vid, view, src.vid)
                     return  # pure view of a fixed buffer: zero replay cost
-        get_src = self._getter(src)
+        self._lower_dynamic_view(node, transform)
+
+    _lower_reshape = _lower_transpose = _lower_view
+
+    def _lower_dynamic_view(self, node, transform):
+        get_src = self._getter(node.inputs[0])
         slots, vid = self._slots, node.out_vid
 
         def run():
@@ -675,7 +624,56 @@ class ExecutionPlan:
 
         self._steps.append(run)
 
-    def _build_bn_stage(self, node, shapes, dtypes):
+    # -- replay ---------------------------------------------------------
+    def _replay(self, x: np.ndarray):
+        if x.shape != self._input_shape:
+            raise ValueError(
+                f"{self._NOUN} compiled for input {self._input_shape}, "
+                f"got {x.shape}"
+            )
+        if self._pre_replay is not None:
+            x = self._pre_replay(x)
+        self._input_cell[0] = x
+        if self.profile is not None:
+            self.profile.runs += 1
+        for step in self._steps:
+            step()
+        return self._fetch_output()
+
+    def profile_summary(self) -> Optional[Dict[str, object]]:
+        """Per-op timing plus arena byte counters.
+
+        ``None`` unless the plan was compiled with ``profile=True``.
+        """
+        if self.profile is None:
+            return None
+        out = self.profile.summary()
+        out["arena_bytes"] = self.stats.arena_bytes
+        out["requested_bytes"] = self.stats.requested_bytes
+        out["workspace_bytes"] = self.stats.workspace_bytes
+        return out
+
+
+class ExecutionPlan(_Plan):
+    """Executable form of one traced forward at one input shape.
+
+    ``run`` returns a view into plan-owned storage: the contents are
+    overwritten by the next ``run`` call, so copy if you need to keep a
+    result across frames (serving loops decode immediately and don't).
+
+    ``renderer`` (optional) is a codegen backend's stage renderer: every
+    lowered stage is *offered* to it along with the numpy closure; at the
+    end of compilation its ``finalize`` replaces accepted stages with
+    compiled-kernel calls (declined or parity-demoted stages keep their
+    numpy closures, so fallback is per-stage and structural).
+    """
+
+    _LOWERED = frozenset(
+        ("bn", "conv", "linear", "maxpool", "relu", "add", "reshape",
+         "transpose")
+    )
+
+    def _lower_bn(self, index, node):
         """Standalone eval-mode BN (not behind a conv): literal eager math.
 
         Never offered to a renderer: the numpy path allocates fresh
@@ -714,7 +712,7 @@ class ExecutionPlan:
 
         self._steps.append(run)
 
-    def _build_generic_stage(self, node):
+    def _lower_generic(self, index, node):
         """Fallback: re-run the op's forward with a throwaway context."""
         fn = node.function
         getters = [self._getter(ref) for ref in node.inputs]
@@ -726,32 +724,11 @@ class ExecutionPlan:
             slots[vid] = fn.forward(ctx, *[g() for g in getters], **kwargs)
 
         self._steps.append(run)
+        # the output may be a view of any tensor input: never recycle
+        # their buffers under it
+        for ref in node.inputs:
+            if isinstance(ref, ValueRef):
+                self._mem.pin(ref.vid)
 
-    # -- replay ---------------------------------------------------------
     def run(self, x: np.ndarray) -> np.ndarray:
-        if x.shape != self._input_shape:
-            raise ValueError(
-                f"plan compiled for input {self._input_shape}, "
-                f"got {x.shape}"
-            )
-        if self._pre_replay is not None:
-            x = self._pre_replay(x)
-        self._input_cell[0] = x
-        if self.profile is not None:
-            self.profile.runs += 1
-        for step in self._steps:
-            step()
-        return self._fetch_output()
-
-    def profile_summary(self) -> Optional[Dict[str, object]]:
-        """Per-op timing plus arena byte counters.
-
-        ``None`` unless the plan was compiled with ``profile=True``.
-        """
-        if self.profile is None:
-            return None
-        out = self.profile.summary()
-        out["arena_bytes"] = self.stats.arena_bytes
-        out["requested_bytes"] = self.stats.requested_bytes
-        out["workspace_bytes"] = self.stats.workspace_bytes
-        return out
+        return self._replay(x)

@@ -35,6 +35,7 @@ from repro.engine.backends import (
     get_backend,
     resolve_backend,
 )
+from repro.models import build_model, get_config
 from repro.pipeline.realtime import PipelineConfig
 from repro.serve.server import FleetConfig
 
@@ -323,6 +324,29 @@ class TestProfileAndInfo:
         summary = plan.profile.summary()
         assert summary["backend"] == "cgen"
         assert any(label.startswith("cgen:") for label in summary["op_ms"])
+
+        # adaptation: forward and backward share one step list; profiling
+        # must label rendered stages of both and leave the numbers bitwise
+        h, w = get_config("tiny-r18").input_hw
+        x = rng.standard_normal((2, 3, h, w)).astype(np.float32)
+        results = {}
+        for profile in (False, True):
+            model = build_model("tiny-r18", rng=np.random.default_rng(0))
+            model.eval()
+            plan = CompiledAdaptStep(
+                model, profile=profile, backend="cgen-strict"
+            ).plan_for(x)
+            assert plan.backend_info["rendered"] > 0
+            results[profile] = [np.asarray(plan.run(x)).copy()] + [
+                grad.copy()
+                for tap in plan.bn_taps
+                for grad in (tap.grad_gamma, tap.grad_beta)
+            ]
+        for plain, profiled in zip(results[False], results[True]):
+            assert plain.tobytes() == profiled.tobytes()
+        labels = plan.profile.summary()["op_ms"]
+        assert any(label.startswith("cgen:fwd:") for label in labels)
+        assert any(label.startswith("cgen:bwd:") for label in labels)
 
     def test_backend_info_shape(self, rng):
         model = _bn_model(rng)
